@@ -12,7 +12,6 @@ from gwbinom import (
     NONSQUARE_UNIT,
     gw_display,
     gw_from_coeffs,
-    gw_mul,
     trace_form_class,
     triangle,
     untwisted_closed,
@@ -22,7 +21,7 @@ from gwbinom.cli import triangle_text
 
 print(__doc__)
 
-print("The ring in one line: u * u =", gw_display(gw_mul(NONSQUARE_UNIT, NONSQUARE_UNIT)),
+print("The ring in one line: u * u =", gw_display(NONSQUARE_UNIT * NONSQUARE_UNIT),
       "and 2u = 2, so a class is (rank, disc):", gw_from_coeffs(0, 2), "== 2*<1>")
 print()
 

@@ -38,13 +38,9 @@ from .gw import (
     SQUARE,
     ZERO,
     GWElem,
-    gw_add,
     gw_display,
     gw_from_coeffs,
-    gw_mul,
-    gw_neg,
     gw_scale,
-    gw_sub,
     gw_to_json,
     trace_form_class,
 )
@@ -83,7 +79,6 @@ from .necklaces import (
     rotate,
     strip_axis_beads,
     swap_action,
-    symmetry_axes,
     twisted_orbit_record_of,
     twisted_rotation,
 )

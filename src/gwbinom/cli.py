@@ -207,7 +207,9 @@ def _cmd_necklaces(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify(args.max_n, args.twisted_max_j, jobs=max(1, args.jobs))
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    report = verify(args.max_n, args.twisted_max_j, jobs=args.jobs)
     if args.format == "json":
         _print_json(report.to_json())
     else:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .arith import big_binomial, digit_dominates
-from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_scale, gw_sub, gw_to_json
+from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_scale, gw_to_json
 from .necklaces import count_even_orbits, count_even_twisted_orbits
 
 
@@ -76,7 +76,7 @@ def untwisted_closed(n: int, j: int) -> EnrichedCoefficient:
     d = correction_parity(n, j)
     value = gw_from_coeffs(c - d, d)
     correction = big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2))
-    alt = gw_sub(gw_from_coeffs(c, 0), gw_scale(gw_from_coeffs(1, -1), correction))
+    alt = gw_from_coeffs(c, 0) - gw_scale(gw_from_coeffs(1, -1), correction)
     assert alt == value, f"closed-form routes disagree at (n={n}, j={j}): {alt} vs {value}"
     return EnrichedCoefficient(n, j, False, value, "closed")
 

@@ -79,22 +79,6 @@ def gw_from_coeffs(a: int, b: int) -> GWElem:
     return GWElem(a + b, b & 1)
 
 
-def gw_add(x: GWElem, y: GWElem) -> GWElem:
-    return x + y
-
-
-def gw_sub(x: GWElem, y: GWElem) -> GWElem:
-    return x - y
-
-
-def gw_neg(x: GWElem) -> GWElem:
-    return -x
-
-
-def gw_mul(x: GWElem, y: GWElem) -> GWElem:
-    return x * y
-
-
 def gw_scale(x: GWElem, c: int) -> GWElem:
     """c-fold orthogonal sum of x; negative c through group completion."""
     return GWElem(c * x.rank, (c * x.disc) & 1)

@@ -17,6 +17,12 @@ inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
+Every cyclic action (the one-bead rotation, the twisted step, and the
+rotation of compositions in the partitions module) goes through one orbit
+walk, _cycle, and one enumerator, _orbits, which meets the masks in
+ascending order and skips those already seen; each orbit is therefore
+walked from its least mask, and orbits come out ordered by it.
+
 Enumerations are capped: the hard limit is the 63-bit encoding and the
 soft limit defaults to 24 beads, overridable through the GWBINOM_MAX_N
 environment variable.
@@ -62,11 +68,14 @@ def max_enumeration_beads() -> int:
 
 def _check_enumeration(n: int) -> None:
     cap = max_enumeration_beads()
-    if n > cap:
-        raise EnumerationLimitError(
-            f"n={n} exceeds the enumeration cap {cap}"
-            f" (raise {MAX_BEADS_ENV}, hard limit {WORD_BITS})"
-        )
+    if n <= cap:
+        return
+    if cap == WORD_BITS:
+        raise EnumerationLimitError(f"n={n} exceeds the hard limit of {WORD_BITS} beads")
+    raise EnumerationLimitError(
+        f"n={n} exceeds the enumeration cap {cap}"
+        f" (raise {MAX_BEADS_ENV}, hard limit {WORD_BITS})"
+    )
 
 
 @dataclass(frozen=True)
@@ -132,18 +141,47 @@ def color_swap(l: Necklace) -> Necklace:
     return Necklace(l.size, l.blues ^ ((1 << l.size) - 1))
 
 
-def _orbit_masks(n: int, mask: int) -> set[int]:
-    out = {mask}
-    m = mask
-    for _ in range(n - 1):
-        m = _rot_mask(m, n, 1)
-        out.add(m)
-    return out
+def _rotation_step(n: int):
+    """One-bead rotation of n-bit masks."""
+    full = (1 << n) - 1
+    return lambda m: ((m << 1) & full) | (m >> (n - 1))
+
+
+def _twisted_step(n: int):
+    """One-bead rotation of n-bit masks followed by the color swap."""
+    full = (1 << n) - 1
+    return lambda m: (((m << 1) & full) | (m >> (n - 1))) ^ full
+
+
+def _cycle(start, step) -> list:
+    """The orbit of start under a permutation step, walked from start."""
+    orbit = [start]
+    m = step(start)
+    while m != start:
+        orbit.append(m)
+        m = step(m)
+    return orbit
+
+
+def _orbits(points, step):
+    """Yield the orbit of every point not already met, as its _cycle.
+
+    The points must ascend and cover whole orbits; then each orbit is
+    walked from its least element and the orbits come out in ascending
+    order of that element.
+    """
+    seen = set()
+    for p in points:
+        if p in seen:
+            continue
+        orbit = _cycle(p, step)
+        seen.update(orbit)
+        yield orbit
 
 
 def canonical_form(l: Necklace) -> tuple[Necklace, int]:
     """Canonical representative (minimal bitmask over rotations) and period."""
-    orbit = _orbit_masks(l.size, l.blues)
+    orbit = _cycle(l.blues, _rotation_step(l.size))
     return Necklace(l.size, min(orbit)), len(orbit)
 
 
@@ -211,19 +249,17 @@ def _axis_classes(canon: Necklace, period: int) -> tuple[AxisIndex, ...]:
     return tuple(AxisIndex(m, axis_type(m)) for m in reps)
 
 
-def orbit_record_of(l: Necklace) -> OrbitRecord:
-    """Record of the rotation orbit containing l."""
-    orbit = _orbit_masks(l.size, l.blues)
-    canon = Necklace(l.size, min(orbit))
+def _rotation_record(n: int, orbit: list[int]) -> OrbitRecord:
+    canon = Necklace(n, min(orbit))
     period = len(orbit)
     flip_fixed = flip(canon).blues in orbit
     axes = _axis_classes(canon, period) if flip_fixed else ()
     return OrbitRecord(canon, period, flip_fixed, axes)
 
 
-def symmetry_axes(rec: OrbitRecord) -> tuple[AxisIndex, ...]:
-    """Axis classes of an orbit; empty iff the orbit is not flip-fixed."""
-    return rec.axes
+def orbit_record_of(l: Necklace) -> OrbitRecord:
+    """Record of the rotation orbit containing l."""
+    return _rotation_record(l.size, _cycle(l.blues, _rotation_step(l.size)))
 
 
 def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
@@ -271,20 +307,8 @@ def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
 
 @cache
 def _enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
-    seen: set[int] = set()
-    records = []
-    for mask in _iter_masks(n, j):
-        if mask in seen:
-            continue
-        orbit = _orbit_masks(n, mask)
-        seen |= orbit
-        canon = Necklace(n, min(orbit))
-        period = len(orbit)
-        flip_fixed = flip(canon).blues in orbit
-        axes = _axis_classes(canon, period) if flip_fixed else ()
-        records.append(OrbitRecord(canon, period, flip_fixed, axes))
-    records.sort(key=lambda r: r.canonical.blues)
-    return tuple(records)
+    orbits = _orbits(_iter_masks(n, j), _rotation_step(n))
+    return tuple(_rotation_record(n, orbit) for orbit in orbits)
 
 
 def count_even_orbits(n: int, j: int) -> int:
@@ -523,26 +547,19 @@ def twisted_rotation(l: Necklace) -> Necklace:
     return color_swap(rotate(l, 1))
 
 
-def _twisted_orbit_masks(n: int, mask: int) -> set[int]:
-    full = (1 << n) - 1
-    out = set()
-    m = mask
-    while m not in out:
-        out.add(m)
-        m = _rot_mask(m, n, 1) ^ full
-    return out
+def _twisted_record(n: int, orbit: list[int]) -> TwistedOrbitRecord:
+    canon = Necklace(n, min(orbit))
+    # Swapping replaces the twisted orbit by that of the one-bead rotation;
+    # squares of the generator are plain two-bead rotations, so this is an
+    # involution on twisted orbits.
+    swap_fixed = _rot_mask(canon.blues, n, 1) in orbit
+    return TwistedOrbitRecord(canon, len(orbit), swap_fixed)
 
 
 def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
     if 2 * l.j != l.size:
         raise ValueError(f"balanced necklace required, got j={l.j} on {l.size} beads")
-    orbit = _twisted_orbit_masks(l.size, l.blues)
-    canon = Necklace(l.size, min(orbit))
-    # Swapping replaces the twisted orbit by that of the one-bead rotation;
-    # squares of the generator are plain two-bead rotations, so this is an
-    # involution on twisted orbits.
-    swap_fixed = _rot_mask(canon.blues, l.size, 1) in orbit
-    return TwistedOrbitRecord(canon, len(orbit), swap_fixed)
+    return _twisted_record(l.size, _cycle(l.blues, _twisted_step(l.size)))
 
 
 def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
@@ -558,18 +575,8 @@ def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
 @cache
 def _enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
     n = 2 * j
-    seen: set[int] = set()
-    records = []
-    for mask in _iter_masks(n, j):
-        if mask in seen:
-            continue
-        orbit = _twisted_orbit_masks(n, mask)
-        seen |= orbit
-        canon = Necklace(n, min(orbit))
-        swap_fixed = _rot_mask(canon.blues, n, 1) in orbit
-        records.append(TwistedOrbitRecord(canon, len(orbit), swap_fixed))
-    records.sort(key=lambda r: r.canonical.blues)
-    return tuple(records)
+    orbits = _orbits(_iter_masks(n, j), _twisted_step(n))
+    return tuple(_twisted_record(n, orbit) for orbit in orbits)
 
 
 def swap_action(rec: TwistedOrbitRecord) -> TwistedOrbitRecord:

@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import valuation
-from .necklaces import Necklace, OrbitRecord, color_swap_fixed, enumerate_orbits, orbit_record_of
+from .necklaces import (
+    Necklace,
+    OrbitRecord,
+    _orbits,
+    color_swap_fixed,
+    enumerate_orbits,
+    orbit_record_of,
+)
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,10 @@ def cyclic_composition_classes(j: int) -> list[tuple[tuple[int, ...], int]]:
     """Cyclic rotation classes of compositions of j, as (canonical, period)
     pairs sorted by canonical tuple; period counts distinct single-entry
     rotations."""
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for c in compositions(j):
-        if c in seen:
-            continue
-        rots = {c[i:] + c[:i] for i in range(len(c))}
-        seen |= rots
-        classes.append((min(rots), len(rots)))
-    classes.sort()
-    return classes
+    # compositions() ascends lexicographically, so each class is walked
+    # from its least rotation and the classes come out sorted.
+    orbits = _orbits(compositions(j), lambda c: c[1:] + c[:1])
+    return [(orbit[0], len(orbit)) for orbit in orbits]
 
 
 def odd_period_composition_class_count(j: int) -> int:

@@ -141,6 +141,14 @@ def test_necklaces_limit_breach(capsys, monkeypatch):
     assert code == 2 and "enumeration cap" in err
 
 
+def test_necklaces_limit_at_hard_cap_names_only_the_hard_limit(capsys, monkeypatch):
+    monkeypatch.setenv("GWBINOM_MAX_N", "100")
+    code, _, err = run(capsys, "necklaces", "--n", "64", "--j", "1")
+    assert code == 2
+    assert "hard limit of 63 beads" in err
+    assert "GWBINOM_MAX_N" not in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "8", "--twisted-max-j", "4")
     assert code == 0
@@ -156,6 +164,13 @@ def test_verify_parallel_jobs(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--twisted-max-j", "3", "--jobs", "2")
     assert code == 0
     assert "VERIFY PASS" in out
+
+
+def test_verify_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--twisted-max-j", "1",
+                             "--jobs", jobs)
+        assert code == 2 and "--jobs" in err and out == ""
 
 
 def test_verify_json(capsys):

@@ -126,19 +126,19 @@ def test_closed_equals_oracle_small():
 def test_oracle_equals_trace_form_sum():
     # third route: the value is the sum of the trace form classes of the
     # orbit sizes, one summand per orbit
-    from gwbinom.gw import ZERO, gw_add, trace_form_class
+    from gwbinom.gw import ZERO, trace_form_class
     from gwbinom.necklaces import enumerate_orbits, enumerate_twisted_orbits
 
     for n in range(1, 13):
         for j in range(n + 1):
             total = ZERO
             for rec in enumerate_orbits(n, j):
-                total = gw_add(total, trace_form_class(rec.period))
+                total = total + trace_form_class(rec.period)
             assert total == untwisted_oracle(n, j).value, (n, j)
     for j in range(1, 8):
         total = ZERO
         for rec in enumerate_twisted_orbits(j):
-            total = gw_add(total, trace_form_class(rec.twisted_period))
+            total = total + trace_form_class(rec.twisted_period)
         assert total == twisted_oracle(j).value, j
 
 

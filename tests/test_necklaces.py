@@ -39,7 +39,6 @@ from gwbinom.necklaces import (
     rotate,
     strip_axis_beads,
     swap_action,
-    symmetry_axes,
     twisted_orbit_record_of,
     twisted_rotation,
 )
@@ -277,7 +276,7 @@ def test_symmetry_axes_accessor_empty_iff_not_flip_fixed():
     for n in range(1, 13):
         for j in range(n + 1):
             for rec in enumerate_orbits(n, j):
-                assert bool(symmetry_axes(rec)) == rec.flip_fixed
+                assert bool(rec.axes) == rec.flip_fixed
 
 
 def test_axis_count_and_distance_laws():
