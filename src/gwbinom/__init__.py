@@ -6,7 +6,6 @@ independently validates the closed forms.
 """
 
 from .arith import (
-    PAdicDigits,
     big_binomial,
     digit_dominates,
     digit_sum,

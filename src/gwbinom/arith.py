@@ -11,8 +11,8 @@ content downstream, so nothing here may round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 
 def _as_integer(x) -> int | None:
@@ -34,9 +34,7 @@ def big_binomial(a: int | Fraction, b: int | Fraction) -> int:
     """
     ai = _as_integer(a)
     bi = _as_integer(b)
-    if ai is None or bi is None:
-        return 0
-    if bi < 0 or ai < 0 or bi > ai:
+    if ai is None or bi is None or not 0 <= bi <= ai:
         return 0
     return math.comb(ai, bi)
 
@@ -83,38 +81,22 @@ def valuation(p: int, x: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class PAdicDigits:
-    """Base-p digits of a non-negative integer, least significant first.
-
-    No trailing zeros beyond the last nonzero digit, except that zero
-    itself is the single digit (0,).
-    """
-
-    prime: int
-    digits: tuple[int, ...]
-
-    @classmethod
-    def of(cls, prime: int, x: int) -> "PAdicDigits":
-        _require_prime(prime)
-        if x < 0:
-            raise ValueError(f"non-negative integer required, got {x}")
-        if x == 0:
-            return cls(prime, (0,))
-        ds = []
-        while x:
-            x, r = divmod(x, prime)
-            ds.append(r)
-        return cls(prime, tuple(ds))
-
-    def value(self) -> int:
-        return sum(d * self.prime**i for i, d in enumerate(self.digits))
+def _digits(p: int, x: int) -> list[int]:
+    """Base-p digits of x >= 0, least significant first; [] for zero."""
+    _require_prime(p)
+    if x < 0:
+        raise ValueError(f"non-negative integer required, got {x}")
+    ds = []
+    while x:
+        x, r = divmod(x, p)
+        ds.append(r)
+    return ds
 
 
 def digit_sum(p: int, x: int) -> int:
     """Sum of the base-p digits of x (the carry-counting quantity in
     Kummer's theorem)."""
-    return sum(PAdicDigits.of(p, x).digits)
+    return sum(_digits(p, x))
 
 
 def lucas_binom_mod_p(p: int, x: int, y: int) -> int:
@@ -122,12 +104,8 @@ def lucas_binom_mod_p(p: int, x: int, y: int) -> int:
     base-p expansions."""
     if x < 0 or y < 0:
         raise ValueError("non-negative integers required")
-    dx = PAdicDigits.of(p, x).digits
-    dy = PAdicDigits.of(p, y).digits
     out = 1
-    for i in range(max(len(dx), len(dy))):
-        xi = dx[i] if i < len(dx) else 0
-        yi = dy[i] if i < len(dy) else 0
+    for xi, yi in zip_longest(_digits(p, x), _digits(p, y), fillvalue=0):
         out = out * math.comb(xi, yi) % p
         if out == 0:
             return 0
@@ -152,9 +130,4 @@ def digit_dominates(x: int | Fraction, y: int | Fraction) -> bool:
     yi = _as_integer(y)
     if xi is None or yi is None or xi < 0 or yi < 0:
         return False
-    dx = PAdicDigits.of(2, xi).digits
-    dy = PAdicDigits.of(2, yi).digits
-    for i, d in enumerate(dx):
-        if d > (dy[i] if i < len(dy) else 0):
-            return False
-    return True
+    return xi & ~yi == 0

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: coeff, triangle, twisted, necklaces, verify; text, JSON, and
-CSV output where it makes sense.  Exit codes: 0 success / full agreement,
+CSV output where it makes sense.  Each subcommand computes its data and
+exit code, then makes one call to the single renderer, ``_emit``, which
+builds only the requested format.  Exit codes: 0 success / full agreement,
 1 closed-vs-oracle divergence, 2 usage or enumeration-limit errors.  The
 base field never enters the numbers, so --q only checks that the field
 order is odd.
@@ -13,9 +15,11 @@ import argparse
 import csv
 import json
 import sys
+from itertools import zip_longest
 
 from .coefficients import (
     EnrichedCoefficient,
+    VerifyReport,
     triangle,
     triangle_to_json,
     twisted_closed,
@@ -24,7 +28,7 @@ from .coefficients import (
     untwisted_oracle,
     verify,
 )
-from .necklaces import EnumerationLimitError, orbit_catalog
+from .necklaces import orbit_catalog
 
 FORMATS = ("text", "json", "csv")
 
@@ -77,16 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _coeff_row(c: EnrichedCoefficient) -> list:
-    return [c.n, c.j, c.twisted, c.method, c.value.rank, c.value.disc_name, c.display]
+def _emit(fmt: str, obj, header, rows, lines) -> None:
+    """Print only the requested format: JSON from the zero-argument callable
+    obj, CSV from header and the iterable rows, text from the iterable lines."""
+    if fmt == "json":
+        print(json.dumps(obj(), indent=2))
+    elif fmt == "csv":
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _cmd_coeff(args) -> int:
@@ -100,28 +106,25 @@ def _cmd_coeff(args) -> int:
             raise ValueError("--n is required unless --twisted is given")
         closed = untwisted_closed(args.n, args.j)
         oracle = untwisted_oracle(args.n, args.j) if args.oracle else None
+    cells = [closed] if oracle is None else [closed, oracle]
+    agree = cells[-1].value == closed.value
 
-    if args.format == "json":
+    def obj() -> dict:
         out = {"value": closed.to_json()}
         if oracle is not None:
-            out["oracle"] = oracle.to_json()
-            out["agree"] = closed.value == oracle.value
-        _print_json(out)
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["n", "j", "twisted", "method", "rank", "disc", "display"])
-        w.writerow(_coeff_row(closed))
+            out.update(oracle=oracle.to_json(), agree=agree)
+        return out
+
+    def lines():
+        yield closed.display
+        yield f"rank={closed.value.rank} disc={closed.value.disc_name}"
         if oracle is not None:
-            w.writerow(_coeff_row(oracle))
-    else:
-        print(closed.display)
-        print(f"rank={closed.value.rank} disc={closed.value.disc_name}")
-        if oracle is not None:
-            agree = "yes" if closed.value == oracle.value else "NO"
-            print(f"oracle={oracle.display} agree={agree}")
-    if oracle is not None and closed.value != oracle.value:
-        return 1
-    return 0
+            yield f"oracle={oracle.display} agree={'yes' if agree else 'NO'}"
+
+    _emit(args.format, obj, ["n", "j", "twisted", "method", "rank", "disc", "display"],
+          ([c.n, c.j, c.twisted, c.method, c.value.rank, c.value.disc_name, c.display]
+           for c in cells), lines())
+    return 0 if agree else 1
 
 
 def triangle_text(table: list[list[EnrichedCoefficient]]) -> str:
@@ -133,16 +136,9 @@ def triangle_text(table: list[list[EnrichedCoefficient]]) -> str:
 
 def _cmd_triangle(args) -> int:
     table = triangle(args.rows)
-    if args.format == "json":
-        _print_json(triangle_to_json(table))
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["row", "j", "rank", "disc", "display"])
-        for row in table:
-            for c in row:
-                w.writerow([c.n, c.j, c.value.rank, c.value.disc_name, c.display])
-    else:
-        print(triangle_text(table))
+    _emit(args.format, lambda: triangle_to_json(table), ["row", "j", "rank", "disc", "display"],
+          ([c.n, c.j, c.value.rank, c.value.disc_name, c.display] for row in table for c in row),
+          map(triangle_text, [table]))
     return 0
 
 
@@ -150,59 +146,45 @@ def _cmd_twisted(args) -> int:
     if args.max_j < 1:
         raise ValueError(f"--max-j must be positive, got {args.max_j}")
     cells = [twisted_closed(j) for j in range(1, args.max_j + 1)]
-    oracles = [twisted_oracle(j) for j in range(1, args.max_j + 1)] if args.oracle else None
-    diverged = False
-    if args.format == "json":
+    oracles = [twisted_oracle(j) for j in range(1, args.max_j + 1)] if args.oracle else []
+    agree = all(a.value == b.value for a, b in zip(cells, oracles))
+
+    def obj() -> dict:
         out = {"max_j": args.max_j, "sequence": [c.to_json() for c in cells]}
-        if oracles is not None:
-            out["oracle"] = [c.to_json() for c in oracles]
-            out["agree"] = all(a.value == b.value for a, b in zip(cells, oracles))
-            diverged = not out["agree"]
-        _print_json(out)
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["j", "rank", "disc", "display"])
-        for c in cells:
-            w.writerow([c.j, c.value.rank, c.value.disc_name, c.display])
-        if oracles is not None:
-            diverged = any(a.value != b.value for a, b in zip(cells, oracles))
-    else:
-        for c in cells:
+        if args.oracle:
+            out.update(oracle=[c.to_json() for c in oracles], agree=agree)
+        return out
+
+    def lines():
+        for c, o in zip_longest(cells, oracles):
             line = f"{c.j}\t{c.display}"
-            if oracles is not None:
-                o = oracles[c.j - 1]
-                agree = "yes" if o.value == c.value else "NO"
-                line += f"\toracle={o.display} agree={agree}"
-                diverged = diverged or o.value != c.value
-            print(line)
-    return 1 if diverged else 0
+            if o is not None:
+                line += f"\toracle={o.display} agree={'yes' if o.value == c.value else 'NO'}"
+            yield line
+
+    _emit(args.format, obj, ["j", "rank", "disc", "display"],
+          ([c.j, c.value.rank, c.value.disc_name, c.display] for c in cells), lines())
+    return 0 if agree else 1
 
 
 def _cmd_necklaces(args) -> int:
     catalog = orbit_catalog(args.n, args.j, classify=args.classify)
-    if args.format == "json":
-        _print_json(catalog)
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["n", "j", "canonical", "period", "flip_fixed", "axes"])
-        for orbit in catalog["orbits"]:
-            axes = "|".join(f"{a['m']}:{a['type']}" for a in orbit["axes"])
-            w.writerow([args.n, args.j, orbit["canonical"], orbit["period"],
-                        orbit["flip_fixed"], axes])
-    else:
-        print(f"orbits of (n={args.n}, j={args.j}): {len(catalog['orbits'])}")
-        for orbit in catalog["orbits"]:
-            axes = ",".join(f"m={a['m']}:type{a['type']}" for a in orbit["axes"]) or "-"
-            print(
-                f"  {orbit['canonical']}  period={orbit['period']}"
-                f"  flip_fixed={'yes' if orbit['flip_fixed'] else 'no'}  axes={axes}"
-            )
+    orbits = catalog["orbits"]
+
+    def lines():
+        yield f"orbits of (n={args.n}, j={args.j}): {len(orbits)}"
+        for o in orbits:
+            axes = ",".join(f"m={a['m']}:type{a['type']}" for a in o["axes"]) or "-"
+            yield (f"  {o['canonical']}  period={o['period']}"
+                   f"  flip_fixed={'yes' if o['flip_fixed'] else 'no'}  axes={axes}")
         if "classification" in catalog:
             c = catalog["classification"]
-            print(
-                f"flip-fixed summary: type1_even={c['type1_even']}"
-                f" type2_even={c['type2_even']} odd_fixed={c['odd_fixed']}"
-            )
+            yield (f"flip-fixed summary: type1_even={c['type1_even']}"
+                   f" type2_even={c['type2_even']} odd_fixed={c['odd_fixed']}")
+
+    _emit(args.format, lambda: catalog, ["n", "j", "canonical", "period", "flip_fixed", "axes"],
+          ([args.n, args.j, o["canonical"], o["period"], o["flip_fixed"],
+            "|".join(f"{a['m']}:{a['type']}" for a in o["axes"])] for o in orbits), lines())
     return 0
 
 
@@ -210,10 +192,7 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify(args.max_n, args.twisted_max_j, jobs=args.jobs)
-    if args.format == "json":
-        _print_json(report.to_json())
-    else:
-        print(report.render_text())
+    _emit(args.format, report.to_json, None, (), map(VerifyReport.render_text, [report]))
     return 0 if report.ok else 1
 
 
@@ -237,9 +216,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -234,7 +234,8 @@ def _axis_classes(canon: Necklace, period: int) -> tuple[AxisIndex, ...]:
     # Reflections fixing one necklace differ by rotations in its stabilizer,
     # so ms = {m0 + t*period}; rotating the representative shifts every m
     # by 2, hence classes are ms modulo steps of 2*period.
-    assert len(ms) == n // period
+    if len(ms) != n // period:
+        raise RuntimeError(f"{len(ms)} fixing reflections, expected {n // period}")
     m0 = ms[0]
     if (n // period) % 2 == 1:
         reps = [m0]
@@ -329,7 +330,8 @@ def aperiodic_count(n: int, j: int) -> int:
         mobius(l) * big_binomial(Fraction(n, l), Fraction(j, l)) for l in _divisors(n)
     )
     q, r = divmod(total, n)
-    assert r == 0, f"inversion sum {total} not divisible by {n}"
+    if r:
+        raise RuntimeError(f"inversion sum {total} not divisible by {n}")
     return q
 
 
@@ -392,14 +394,15 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
             continue
         types = {a.axis_type for a in rec.axes}
         if rec.period % 2:
-            assert types == {TYPE1, TYPE2}, rec
+            if types != {TYPE1, TYPE2}:
+                raise RuntimeError(f"odd-period orbit without both axis types: {rec}")
             odd += 1
+        elif len(types) != 1:
+            raise RuntimeError(f"even-period orbit with mixed axis types: {rec}")
+        elif TYPE1 in types:
+            t1 += 1
         else:
-            assert len(types) == 1, rec
-            if TYPE1 in types:
-                t1 += 1
-            else:
-                t2 += 1
+            t2 += 1
     return FlipFixedCounts(t1, t2, odd)
 
 
@@ -615,10 +618,5 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
         ],
     }
     if classify:
-        counts = classify_flip_fixed(n, j)
-        out["classification"] = {
-            "type1_even": counts.type1_even,
-            "type2_even": counts.type2_even,
-            "odd_fixed": counts.odd_fixed,
-        }
+        out["classification"] = asdict(classify_flip_fixed(n, j))
     return out

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gwbinom.arith import (
-    PAdicDigits,
+    _digits,
     big_binomial,
     digit_dominates,
     digit_sum,
@@ -96,12 +96,19 @@ def test_valuation():
 
 
 def test_p_adic_digits_roundtrip():
-    d = PAdicDigits.of(3, 25)
-    assert d.digits == (1, 2, 2)
-    assert d.value() == 25
-    assert PAdicDigits.of(5, 0).digits == (0,)
+    assert _digits(3, 25) == [1, 2, 2]
+    assert _digits(5, 0) == []
     assert digit_sum(2, 8) == 1
     assert digit_sum(2, 7) == 3
+
+
+def test_digit_helpers_reject_composite_base():
+    with pytest.raises(ValueError):
+        digit_sum(4, 5)
+    with pytest.raises(ValueError):
+        lucas_binom_mod_p(4, 5, 2)
+    with pytest.raises(ValueError):
+        kummer_valuation(6, 5, 2)
 
 
 def test_lucas_examples():

@@ -189,6 +189,23 @@ def test_verify_detects_mutation(monkeypatch):
     assert "DIVERGENCE" in report.render_text()
 
 
+def test_verify_checks_raw_binomial_route(monkeypatch):
+    import gwbinom.coefficients as coefficients
+
+    monkeypatch.setattr(coefficients, "big_binomial", lambda a, b: 1)
+    report = coefficients.verify(8, 1)
+    assert not report.ok
+    bad = report.first_divergence()
+    assert not bad.twisted and not bad.match
+    assert bad.closed == bad.oracle
+
+
+def test_verify_rejects_jobs_below_one():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            verify(3, 1, jobs=jobs)
+
+
 def test_verify_parallel_matches_serial():
     serial = verify(6, 3)
     parallel = verify(6, 3, jobs=2)

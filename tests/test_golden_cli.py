@@ -1,0 +1,108 @@
+"""Golden digest of the CLI transcript.
+
+Every case below is run in-process through ``main``; the digest covers
+``argv | exit code | stdout | stderr`` for each, in order.  Timings in
+the verify output are masked (every ``\\d+\\.\\d+s?``, and any float
+that ``json`` writes in exponent form).
+
+Both digests were computed with the code as it stood before the CLI's
+per-format branches were folded into one renderer, before ``cli.py``
+was touched.  They pin the text, JSON and CSV renderings of every
+subcommand, the disagreement output with its exit code 1, and the usage
+errors' exit codes and messages, byte for byte.
+"""
+
+import contextlib
+import hashlib
+import io
+import re
+
+from gwbinom.cli import main
+from gwbinom.coefficients import EnrichedCoefficient
+from gwbinom.gw import GWElem
+
+FORMATS = ("text", "json", "csv")
+
+RENDERED = [
+    ("coeff", "--n", "8", "--j", "3"),
+    ("coeff", "--n", "8", "--j", "3", "--oracle"),
+    ("coeff", "--twisted", "--j", "4", "--oracle"),
+    ("coeff", "--n", "0", "--j", "0"),
+    ("triangle", "--rows", "12"),
+    ("twisted", "--max-j", "9"),
+    ("twisted", "--max-j", "6", "--oracle"),
+    ("necklaces", "--n", "8", "--j", "4"),
+    ("necklaces", "--n", "6", "--j", "4", "--classify"),
+    ("necklaces", "--n", "5", "--j", "0"),
+]
+
+VERIFY = ("verify", "--max-n", "8", "--twisted-max-j", "4")
+
+USAGE_ERRORS = [
+    ("coeff", "--n", "3", "--j", "5"),
+    ("coeff", "--j", "2"),
+    ("coeff", "--twisted", "--n", "5", "--j", "4"),
+    ("necklaces", "--n", "5", "--j", "2", "--classify"),
+    ("twisted", "--max-j", "0"),
+    ("triangle", "--rows", "0"),
+    ("verify", "--max-n", "2", "--twisted-max-j", "1", "--jobs", "0"),
+    ("--q", "8", "triangle", "--rows", "2"),
+]
+
+DIVERGENT = [
+    ("coeff", "--n", "8", "--j", "3", "--oracle"),
+    ("coeff", "--twisted", "--j", "4", "--oracle"),
+    ("twisted", "--max-j", "5", "--oracle"),
+]
+
+TRANSCRIPT_SHA256 = "b4b09571b2d117d74f26af6f47c5ef7c994fafd70aa633bcb7a2c9fbbdde20ab"
+
+DIVERGENT_SHA256 = "89b3942b15cfa76bc6deb6ec6234290a7c6ab525f3de0ef87f32bcb03e03b30d"
+
+_TIMING = re.compile(r"\d+(?:\.\d+)?e-\d+|\d+\.\d+s?")
+
+
+def _cases():
+    for argv in RENDERED:
+        for fmt in FORMATS:
+            yield (*argv, "--format", fmt), False
+    for fmt in ("text", "json"):
+        yield (*VERIFY, "--format", fmt), True
+    for argv in USAGE_ERRORS:
+        yield argv, False
+
+
+def _transcript(cases) -> str:
+    parts = []
+    for argv, masked in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        stdout = out.getvalue()
+        if masked:
+            stdout = _TIMING.sub("#", stdout)
+        parts.append(f"{' '.join(argv)}|{code}|{stdout}|{err.getvalue()}")
+    return "\n".join(parts)
+
+
+def test_cli_transcript_digest():
+    assert hashlib.sha256(_transcript(_cases()).encode()).hexdigest() == TRANSCRIPT_SHA256
+
+
+def test_cli_divergence_transcript_digest(monkeypatch):
+    """An oracle that is off by one square class at (8, 3) and at j = 4
+    exercises the disagreement lines and exit code 1 in every format."""
+    import gwbinom.cli as cli
+
+    def off(real, at):
+        def wrapped(*args):
+            c = real(*args)
+            if args != at:
+                return c
+            return EnrichedCoefficient(c.n, c.j, c.twisted, c.value + GWElem(0, 1), c.method)
+        return wrapped
+
+    monkeypatch.setattr(cli, "untwisted_oracle", off(cli.untwisted_oracle, (8, 3)))
+    monkeypatch.setattr(cli, "twisted_oracle", off(cli.twisted_oracle, (4,)))
+    cases = [((*argv, "--format", fmt), False) for argv in DIVERGENT for fmt in FORMATS]
+    assert hashlib.sha256(_transcript(cases).encode()).hexdigest() == DIVERGENT_SHA256

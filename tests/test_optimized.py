@@ -1,0 +1,55 @@
+"""Invariant checks still run under ``python -O``.
+
+Each check runs in a fresh ``python -O`` interpreter, where ``assert``
+statements are stripped, so a check that relied on one would pass
+silently here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MOBIUS = """
+import gwbinom.necklaces as necklaces
+necklaces.mobius = lambda m: 1
+try:
+    necklaces.aperiodic_count(6, 3)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+BINOMIAL = """
+import gwbinom.coefficients as coefficients
+coefficients.big_binomial = lambda a, b: 1
+report = coefficients.verify(8, 1)
+bad = report.first_divergence()
+print(report.ok, bad.twisted, bad.match)
+"""
+
+
+def run_optimized(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-O", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_wrong_mobius_raises_under_O():
+    proc = run_optimized("-c", MOBIUS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised inversion sum 22 not divisible by 6")
+
+
+def test_wrong_binomial_route_fails_verify_under_O():
+    proc = run_optimized("-c", BINOMIAL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]
+
+
+def test_verify_cli_passes_under_O():
+    proc = run_optimized("-m", "gwbinom", "verify", "--max-n", "6", "--twisted-max-j", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "VERIFY PASS" in proc.stdout
