@@ -57,6 +57,7 @@ from .necklaces import (
     aperiodic_count,
     axis_distance,
     canonical_form,
+    check_enumeration,
     classify_flip_fixed,
     color_swap,
     color_swap_fixed,
@@ -70,7 +71,6 @@ from .necklaces import (
     interleave_decompose,
     interleave_fiber_size,
     interleave_parts,
-    max_enumeration_beads,
     odd_flip_fixed_closed_form,
     odd_flip_fixed_count,
     orbit_catalog,

@@ -28,7 +28,7 @@ from .coefficients import (
     untwisted_oracle,
     verify,
 )
-from .necklaces import orbit_catalog
+from .necklaces import check_enumeration, orbit_catalog
 
 FORMATS = ("text", "json", "csv")
 
@@ -145,6 +145,8 @@ def _cmd_triangle(args) -> int:
 def _cmd_twisted(args) -> int:
     if args.max_j < 1:
         raise ValueError(f"--max-j must be positive, got {args.max_j}")
+    if args.oracle:
+        check_enumeration(2 * args.max_j, args.max_j)
     cells = [twisted_closed(j) for j in range(1, args.max_j + 1)]
     oracles = [twisted_oracle(j) for j in range(1, args.max_j + 1)] if args.oracle else []
     agree = all(a.value == b.value for a, b in zip(cells, oracles))

@@ -18,6 +18,7 @@ correction.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from math import comb
 
 from .arith import big_binomial, digit_dominates
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_scale, gw_to_json
-from .necklaces import count_even_orbits, count_even_twisted_orbits
+from .necklaces import check_enumeration, count_even_orbits, count_even_twisted_orbits
 
 
 @dataclass(frozen=True)
@@ -298,14 +299,20 @@ class VerifyReport:
 def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     """Compare the closed forms against the enumeration oracles on every
     untwisted cell with n <= max_n and every twisted cell with
-    j <= twisted_max_j; cells shard across processes when jobs > 1."""
+    j <= twisted_max_j.  The largest cell of each family is checked against
+    the enumeration budget before any cell runs.  Cells shard across
+    min(jobs, CPU count, cell count) processes, serially when that is 1."""
     if max_n < 1 or twisted_max_j < 0 or jobs < 1:
         raise ValueError("need max_n >= 1, twisted_max_j >= 0 and jobs >= 1")
+    check_enumeration(max_n, max_n // 2)
+    if twisted_max_j:
+        check_enumeration(2 * twisted_max_j, twisted_max_j)
     start = time.perf_counter()
     untwisted_cells = [(n, j) for n in range(max_n + 1) for j in range(n + 1)]
     twisted_cells = list(range(1, twisted_max_j + 1))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(untwisted_cells) + len(twisted_cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_untwisted_cell, untwisted_cells))
             results += list(pool.map(_check_twisted_cell, twisted_cells))
     else:

@@ -23,23 +23,24 @@ walk, _cycle, and one enumerator, _orbits, which meets the masks in
 ascending order and skips those already seen; each orbit is therefore
 walked from its least mask, and orbits come out ordered by it.
 
-Enumerations are capped: the hard limit is the 63-bit encoding and the
-soft limit defaults to 24 beads, overridable through the GWBINOM_MAX_N
-environment variable.
+An enumeration visits C(n, j) masks, so it is bounded by that count:
+check_enumeration refuses n beyond the 63-bit encoding and any cell with
+more than MAX_MASKS masks, before a single mask is visited.  Nothing is
+memoised; each call enumerates afresh.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache
+from math import comb
 
 from .arith import big_binomial, mobius, valuation
 
 WORD_BITS = 63
-DEFAULT_MAX_BEADS = 24
-MAX_BEADS_ENV = "GWBINOM_MAX_N"
+# The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
+# masks; enumerate_orbits(24, 12) takes about 5 s and 310 MB (Python 3.11).
+MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
 TYPE2 = 2  # axis through at least one bead
@@ -49,33 +50,18 @@ RED = "red"
 
 
 class EnumerationLimitError(ValueError):
-    """An orbit enumeration would exceed the configured bead cap."""
+    """An orbit enumeration would exceed the encoding or the mask budget."""
 
 
-def max_enumeration_beads() -> int:
-    """Current soft cap on enumeration size (env override, then default)."""
-    raw = os.environ.get(MAX_BEADS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_BEADS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise EnumerationLimitError(f"{MAX_BEADS_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise EnumerationLimitError(f"{MAX_BEADS_ENV} must be positive, got {cap}")
-    return min(cap, WORD_BITS)
-
-
-def _check_enumeration(n: int) -> None:
-    cap = max_enumeration_beads()
-    if n <= cap:
-        return
-    if cap == WORD_BITS:
+def check_enumeration(n: int, j: int) -> None:
+    """Raise EnumerationLimitError unless the C(n, j) masks of an (n, j)
+    enumeration fit the word width and the MAX_MASKS budget."""
+    if n > WORD_BITS:
         raise EnumerationLimitError(f"n={n} exceeds the hard limit of {WORD_BITS} beads")
-    raise EnumerationLimitError(
-        f"n={n} exceeds the enumeration cap {cap}"
-        f" (raise {MAX_BEADS_ENV}, hard limit {WORD_BITS})"
-    )
+    if comb(n, j) > MAX_MASKS:
+        raise EnumerationLimitError(
+            f"C({n}, {j}) = {comb(n, j)} masks exceeds the enumeration budget of {MAX_MASKS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -302,12 +288,7 @@ def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
         raise ValueError(f"positive n required, got {n}")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    _check_enumeration(n)
-    return _enumerate_orbits(n, j)
-
-
-@cache
-def _enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
+    check_enumeration(n, j)
     orbits = _orbits(_iter_masks(n, j), _rotation_step(n))
     return tuple(_rotation_record(n, orbit) for orbit in orbits)
 
@@ -386,10 +367,14 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     axis classes all share one type); odd-period flip-fixed orbits carry
     one axis of each type.  Defined for even n only.
     """
+    return _classify_flip_fixed(n, enumerate_orbits(n, j))
+
+
+def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
     if n % 2:
         raise ValueError(f"even n required, got {n}")
     t1 = t2 = odd = 0
-    for rec in enumerate_orbits(n, j):
+    for rec in records:
         if not rec.flip_fixed:
             continue
         types = {a.axis_type for a in rec.axes}
@@ -571,13 +556,7 @@ def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
     n = 2 * j
-    _check_enumeration(n)
-    return _enumerate_twisted_orbits(j)
-
-
-@cache
-def _enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
-    n = 2 * j
+    check_enumeration(n, j)
     orbits = _orbits(_iter_masks(n, j), _twisted_step(n))
     return tuple(_twisted_record(n, orbit) for orbit in orbits)
 
@@ -618,5 +597,5 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
         ],
     }
     if classify:
-        out["classification"] = asdict(classify_flip_fixed(n, j))
+        out["classification"] = asdict(_classify_flip_fixed(n, records))
     return out

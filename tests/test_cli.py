@@ -137,18 +137,26 @@ def test_necklaces_text(capsys):
     assert "orbits of (n=4, j=2): 2" in out
 
 
-def test_necklaces_limit_breach(capsys, monkeypatch):
-    monkeypatch.setenv("GWBINOM_MAX_N", "4")
-    code, _, err = run(capsys, "necklaces", "--n", "6", "--j", "2")
-    assert code == 2 and "enumeration cap" in err
+def test_necklaces_limit_breach(capsys):
+    code, _, err = run(capsys, "necklaces", "--n", "26", "--j", "13")
+    assert code == 2 and "enumeration budget" in err
 
 
-def test_necklaces_limit_at_hard_cap_names_only_the_hard_limit(capsys, monkeypatch):
-    monkeypatch.setenv("GWBINOM_MAX_N", "100")
+def test_necklaces_limit_at_hard_cap_names_only_the_hard_limit(capsys):
     code, _, err = run(capsys, "necklaces", "--n", "64", "--j", "1")
     assert code == 2
     assert "hard limit of 63 beads" in err
     assert "GWBINOM_MAX_N" not in err
+
+
+def test_twisted_oracle_over_budget_fails_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(n, j):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._iter_masks", no_enumeration)
+    code, out, err = run(capsys, "twisted", "--max-j", "13", "--oracle")
+    assert code == 2 and out == ""
+    assert "enumeration budget" in err
 
 
 def test_verify_pass(capsys):

@@ -1,4 +1,5 @@
 import json
+import os
 from math import comb
 
 import pytest
@@ -17,7 +18,7 @@ from gwbinom.coefficients import (
     verify,
 )
 from gwbinom.gw import SQUARE, gw_from_coeffs
-from gwbinom.necklaces import count_even_orbits
+from gwbinom.necklaces import EnumerationLimitError, count_even_orbits
 
 
 def test_untwisted_closed_examples():
@@ -204,6 +205,45 @@ def test_verify_rejects_jobs_below_one():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             verify(3, 1, jobs=jobs)
+
+
+def test_verify_over_budget_fails_before_enumerating(monkeypatch):
+    def no_enumeration(n, j):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._iter_masks", no_enumeration)
+    for max_n, max_j in ((25, 0), (4, 13)):
+        with pytest.raises(EnumerationLimitError, match="budget"):
+            verify(max_n, max_j)
+
+
+def test_verify_clamps_pool_to_cpu_count(monkeypatch):
+    import gwbinom.coefficients as coefficients
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", RecordingPool)
+    assert verify(3, 1, jobs=64).ok
+    assert all(w <= (os.cpu_count() or 1) for w in asked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    asked.clear()
+    verify(3, 1, jobs=64)
+    verify(1, 0, jobs=64)  # three cells
+    verify(3, 1, jobs=1)
+    assert asked == [4, 3]
 
 
 def test_verify_parallel_matches_serial():
