@@ -4,7 +4,8 @@ Subcommands: coeff, triangle, twisted, necklaces, verify; text, JSON, and
 CSV output where it makes sense.  Each subcommand computes its data and
 exit code, then makes one call to the single renderer, ``_emit``, which
 builds only the requested format.  Exit codes: 0 success / full agreement,
-1 closed-vs-oracle divergence, 2 usage or enumeration-limit errors.  The
+1 closed-vs-oracle divergence, 2 usage or enumeration-limit errors, 141
+when the reader closes stdout early (as under SIGPIPE).  The
 base field never enters the numbers, so --q only checks that the field
 order is odd.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from itertools import zip_longest
 
@@ -221,6 +223,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped early.  Point stdout at the null device so that
+        # the flush at exit cannot fail again, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -3,7 +3,12 @@
 A necklace is a length-n circular word over {blue, red} with bead 0 at the
 top; positions run counterclockwise.  Bead sets are stored as bitmasks
 (bit p set = bead p blue), so rotation is a word rotate and the encoding
-caps n at the word width of 63 beads.  On top of the three generators
+caps n at the word width of 63 beads.  Only the mask primitives (the
+rotations, the orbit steps and the mask iterator) and the word form,
+Necklace.bitstring and its inverse _from_word, rely on that layout; every
+other relabelling of beads (the flip, the interleave halves, cutting out
+or splicing in axis beads, and the run lengths in the partitions module)
+is a slice or splice of the word.  On top of the three generators
 
   * rotate(l, k)     -- positions shift by k mod n,
   * flip(l)          -- reflection through the top bead, p -> (n - p) mod n,
@@ -91,14 +96,19 @@ class Necklace:
         return self.blues.bit_count()
 
     def blue_positions(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.size) if self.blues >> p & 1)
+        return tuple(p for p, c in enumerate(self.bitstring()) if c == "1")
 
     def is_blue(self, p: int) -> bool:
-        return bool(self.blues >> (p % self.size) & 1)
+        return self.bitstring()[p % self.size] == "1"
 
     def bitstring(self) -> str:
         """Position 0 leftmost, '1' for blue."""
-        return "".join("1" if self.blues >> p & 1 else "0" for p in range(self.size))
+        return f"{self.blues:0{self.size}b}"[::-1]
+
+
+def _from_word(word: str) -> Necklace:
+    """The necklace whose bitstring is word."""
+    return Necklace(len(word), int(word[::-1], 2))
 
 
 def _rot_mask(mask: int, n: int, k: int) -> int:
@@ -115,11 +125,9 @@ def rotate(l: Necklace, k: int) -> Necklace:
 
 def flip(l: Necklace) -> Necklace:
     """Reflect through the top bead: p -> (n - p) mod n.  An involution."""
-    m = 0
-    for p in range(l.size):
-        if l.blues >> p & 1:
-            m |= 1 << ((l.size - p) % l.size)
-    return Necklace(l.size, m)
+    # Read as a mask, the word holds bead p at bit n - 1 - p; one more bead
+    # of rotation puts it at n - p.
+    return Necklace(l.size, _rot_mask(int(l.bitstring(), 2), l.size, 1))
 
 
 def color_swap(l: Necklace) -> Necklace:
@@ -211,9 +219,9 @@ class OrbitRecord:
         return any(a.axis_type == axis_type for a in self.axes)
 
 
-def _axis_classes(canon: Necklace, period: int) -> tuple[AxisIndex, ...]:
+def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex, ...]:
+    """Axis classes of a flip-fixed orbit; flipped is the flip of canon's mask."""
     n = canon.size
-    flipped = flip(canon).blues
     ms = [m for m in range(n) if _rot_mask(flipped, n, m) == canon.blues]
     if not ms:
         return ()
@@ -239,8 +247,9 @@ def _axis_classes(canon: Necklace, period: int) -> tuple[AxisIndex, ...]:
 def _rotation_record(n: int, orbit: list[int]) -> OrbitRecord:
     canon = Necklace(n, min(orbit))
     period = len(orbit)
-    flip_fixed = flip(canon).blues in orbit
-    axes = _axis_classes(canon, period) if flip_fixed else ()
+    flipped = flip(canon).blues
+    flip_fixed = flipped in orbit
+    axes = _axis_classes(canon, period, flipped) if flip_fixed else ()
     return OrbitRecord(canon, period, flip_fixed, axes)
 
 
@@ -403,14 +412,8 @@ def interleave_parts(l: Necklace) -> tuple[Necklace, Necklace]:
     n = l.size
     if n % 2:
         raise ValueError(f"even size required, got {n}")
-    half = n // 2
-    even_mask = odd_mask = 0
-    for i in range(half):
-        if l.blues >> (2 * i) & 1:
-            even_mask |= 1 << i
-        if l.blues >> (2 * i + 1) & 1:
-            odd_mask |= 1 << i
-    return Necklace(half, even_mask), Necklace(half, odd_mask)
+    word = l.bitstring()
+    return _from_word(word[0::2]), _from_word(word[1::2])
 
 
 def interleave_decompose(rec: OrbitRecord) -> tuple[OrbitRecord, OrbitRecord]:
@@ -467,20 +470,12 @@ def strip_axis_beads(rec: OrbitRecord, axis: AxisIndex) -> OrbitRecord:
     l = rec.canonical
     if _rot_mask(flip(l).blues, n, axis.m) != l.blues:
         raise ValueError(f"axis m={axis.m} does not fix the canonical representative")
-    a = axis.m // 2
-    b = a + n // 2
-    if l.is_blue(a) != l.is_blue(b):
+    # With the on-axis bead m/2 moved to the front, the axis meets beads 0 and n/2.
+    word = rotate(l, -(axis.m // 2)).bitstring()
+    half = n // 2
+    if word[0] != word[half]:
         raise RuntimeError("on-axis beads differ in color; invariant violation")
-    mask = 0
-    i = 0
-    for t in range(1, n):
-        p = (a + t) % n
-        if p == b:
-            continue
-        if l.is_blue(p):
-            mask |= 1 << i
-        i += 1
-    return orbit_record_of(Necklace(n - 2, mask))
+    return orbit_record_of(_from_word(word[1:half] + word[half + 1:]))
 
 
 def insert_axis_beads(rec: OrbitRecord, color: str) -> OrbitRecord:
@@ -495,21 +490,13 @@ def insert_axis_beads(rec: OrbitRecord, color: str) -> OrbitRecord:
     type1 = [a for a in rec.axes if a.axis_type == TYPE1]
     if not type1:
         raise ValueError("orbit has no between-beads (type-1) axis")
-    m = min(a.m for a in type1)
-    l = rec.canonical
-    n = rec.size
-    g1 = (m - 1) // 2
-    g2 = g1 + n // 2
-    flags = []
-    for p in range(n):
-        flags.append(l.is_blue(p))
-        if p == g1 or p == g2:
-            flags.append(color == BLUE)
-    mask = 0
-    for i, blue in enumerate(flags):
-        if blue:
-            mask |= 1 << i
-    return orbit_record_of(Necklace(n + 2, mask))
+    # The axis of r^m f (m odd) passes between beads (m - 1)/2 and (m + 1)/2,
+    # and between the two beads opposite them.
+    i = (min(a.m for a in type1) + 1) // 2
+    k = i + rec.size // 2
+    word = rec.canonical.bitstring()
+    bead = "1" if color == BLUE else "0"
+    return orbit_record_of(_from_word(word[:i] + bead + word[i:k] + bead + word[k:]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ sequence (r1, b1, r2, b2, ..., rm, bm) of maximal run lengths, red runs
 in the marked even-index slots and blue runs in the plain odd-index
 slots, taken up to rotation by whole (r, b) blocks.  The color swap acts
 by exchanging the markings, which block-rotates the sequence by half a
-block.
+block.  Both directions work on the necklace's word (Necklace.bitstring):
+encoding rotates it to start at a red bead after a blue one and reads off
+the run lengths, decoding joins the runs into a word.  Block rotation goes
+through the same orbit walk, _cycle, as every other cyclic action.
 
 Cyclic composition classes of an integer j (ordered positive summands up
 to rotation) drive the parity bookkeeping for orbits fixed by the color
@@ -16,11 +19,12 @@ periods recovers that count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .arith import valuation
 from .necklaces import (
-    Necklace,
     OrbitRecord,
+    _cycle,
+    _from_word,
     _orbits,
     color_swap_fixed,
     enumerate_orbits,
@@ -45,7 +49,7 @@ class MarkedCyclicPartition:
             raise ValueError(f"even run count >= 2 required, got {runs}")
         if any(r < 1 for r in runs):
             raise ValueError(f"run lengths must be positive, got {runs}")
-        object.__setattr__(self, "runs", min(_block_rotations(runs)))
+        object.__setattr__(self, "runs", min(_cycle(runs, _next_block)))
 
     @property
     def total(self) -> int:
@@ -75,44 +79,27 @@ class MarkedCyclicPartition:
         }
 
 
-def _block_rotations(runs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [runs[i:] + runs[:i] for i in range(0, len(runs), 2)]
+def _next_block(runs: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate a run sequence by one (red, blue) block."""
+    return runs[2:] + runs[:2]
 
 
 def encode(rec: OrbitRecord) -> MarkedCyclicPartition:
     """Run-length encoding of an orbit with at least one bead of each color."""
-    l = rec.canonical
-    n = l.size
-    if l.j == 0 or l.j == n:
+    if rec.j in (0, rec.size):
         raise ValueError("monochrome necklace has no run boundaries to encode")
-    start = next(p for p in range(n) if not l.is_blue(p) and l.is_blue(p - 1))
-    runs = []
-    p = start
-    consumed = 0
-    while consumed < n:
-        r = 0
-        while consumed < n and not l.is_blue(p):
-            r += 1
-            consumed += 1
-            p = (p + 1) % n
-        b = 0
-        while consumed < n and l.is_blue(p):
-            b += 1
-            consumed += 1
-            p = (p + 1) % n
-        runs += [r, b]
-    return MarkedCyclicPartition(tuple(runs))
+    word = rec.canonical.bitstring()
+    # The first red bead whose cyclic predecessor is blue starts a red run.
+    start = (word[-1] + word).index("10")
+    word = word[start:] + word[:start]
+    return MarkedCyclicPartition(tuple(len(list(run)) for _, run in groupby(word)))
 
 
 def decode(p: MarkedCyclicPartition) -> OrbitRecord:
     """Orbit of the necklace laid out as the runs prescribe, reds first."""
-    mask = 0
-    pos = 0
-    for i, run in enumerate(p.runs):
-        if i % 2:  # blue run
-            mask |= ((1 << run) - 1) << pos
-        pos += run
-    return orbit_record_of(Necklace(p.total, mask))
+    runs = p.runs
+    word = "".join("0" * r + "1" * b for r, b in zip(runs[0::2], runs[1::2]))
+    return orbit_record_of(_from_word(word))
 
 
 def partition_period(p: MarkedCyclicPartition) -> int:
@@ -122,7 +109,7 @@ def partition_period(p: MarkedCyclicPartition) -> int:
     the sequence; the period is therefore twice the block-rotation orbit
     size, and is always even.
     """
-    return 2 * len(set(_block_rotations(p.runs)))
+    return 2 * len(_cycle(p.runs, _next_block))
 
 
 def compositions(j: int):
@@ -157,28 +144,7 @@ def odd_period_composition_class_count(j: int) -> int:
     return sum(1 for _, period in cyclic_composition_classes(j) if period % 2)
 
 
-_NU_FILTERS = ("all", "nu2_eq_1", "nu2_gt_1")
-
-
-def efixed_untwisted_count(j: int, nu_filter: str = "all") -> int:
+def efixed_untwisted_count(j: int) -> int:
     """Number of rotation orbits of balanced (2j, j) necklaces fixed by the
-    color swap, optionally filtered by the 2-adic valuation of the period.
-
-    Periods of balanced necklaces are always even, so the valuation
-    filters split the count into the nu2 = 1 and nu2 > 1 parts.
-    """
-    if nu_filter not in _NU_FILTERS:
-        raise ValueError(f"nu_filter must be one of {_NU_FILTERS}, got {nu_filter!r}")
-    count = 0
-    for rec in enumerate_orbits(2 * j, j):
-        if not color_swap_fixed(rec):
-            continue
-        if nu_filter == "all":
-            count += 1
-            continue
-        nu = valuation(2, rec.period)
-        if nu_filter == "nu2_eq_1" and nu == 1:
-            count += 1
-        elif nu_filter == "nu2_gt_1" and nu > 1:
-            count += 1
-    return count
+    color swap."""
+    return sum(1 for rec in enumerate_orbits(2 * j, j) if color_swap_fixed(rec))

@@ -105,12 +105,18 @@ def _ref_swap(n, blues):
     return frozenset(range(n)) - blues
 
 
-@given(necklaces(), st.integers(-30, 30))
+@given(necklaces(max_size=63), st.integers(-30, 30))
 def test_bitmask_ops_match_position_set_reference(l, k):
-    blues = frozenset(l.blue_positions())
+    blues = frozenset(p for p in range(l.size) if l.blues >> p & 1)
+    assert frozenset(l.blue_positions()) == blues
+    assert [c == "1" for c in l.bitstring()] == [p in blues for p in range(l.size)]
     assert frozenset(rotate(l, k).blue_positions()) == _ref_rotate(l.size, blues, k)
     assert frozenset(flip(l).blue_positions()) == _ref_flip(l.size, blues)
     assert frozenset(color_swap(l).blue_positions()) == _ref_swap(l.size, blues)
+    if l.size % 2 == 0:
+        even_half, odd_half = interleave_parts(l)
+        assert frozenset(even_half.blue_positions()) == {p // 2 for p in blues if p % 2 == 0}
+        assert frozenset(odd_half.blue_positions()) == {p // 2 for p in blues if p % 2}
 
 
 @given(necklaces())
