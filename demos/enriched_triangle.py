@@ -7,17 +7,9 @@ triangle; even rows pick up a "+u" in the slots where the correction
 binomial C((n-2)/2, (j-1)/2) is odd.
 """
 
-from gwbinom import (
-    GWElem,
-    NONSQUARE_UNIT,
-    gw_display,
-    gw_from_coeffs,
-    trace_form_class,
-    triangle,
-    untwisted_closed,
-    untwisted_oracle,
-)
 from gwbinom.cli import triangle_text
+from gwbinom.coefficients import triangle, untwisted_closed, untwisted_oracle
+from gwbinom.gw import NONSQUARE_UNIT, gw_display, gw_from_coeffs, trace_form_class
 
 print(__doc__)
 

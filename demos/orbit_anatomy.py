@@ -8,7 +8,7 @@ half-length necklaces, and the pair of beads on a through-beads axis can
 be stripped off or glued back.
 """
 
-from gwbinom import (
+from gwbinom.necklaces import (
     BLUE,
     Necklace,
     aperiodic_count,

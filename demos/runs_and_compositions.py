@@ -7,16 +7,16 @@ the cyclic composition classes of j with odd period, and the class
 equation over periods recovers the 2^(j-1) compositions of j.
 """
 
-from gwbinom import (
+from gwbinom.necklaces import Necklace, orbit_record_of
+from gwbinom.partitions import (
     MarkedCyclicPartition,
-    Necklace,
     cyclic_composition_classes,
+    decode,
     efixed_untwisted_count,
+    encode,
     odd_period_composition_class_count,
-    orbit_record_of,
     partition_period,
 )
-from gwbinom.partitions import decode, encode
 
 print(__doc__)
 

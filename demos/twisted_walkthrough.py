@@ -10,13 +10,12 @@ j = 1 is a tiny curiosity: both necklaces are fixed points of the
 twisted step, so the value is the plain 2 rather than 1+u.
 """
 
-from gwbinom import (
+from gwbinom.coefficients import twisted_closed, twisted_oracle
+from gwbinom.necklaces import (
     Necklace,
     count_even_twisted_swap_fixed,
     enumerate_twisted_orbits,
     swap_action,
-    twisted_closed,
-    twisted_oracle,
     twisted_rotation,
 )
 

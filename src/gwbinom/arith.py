@@ -39,22 +39,27 @@ def big_binomial(a: int | Fraction, b: int | Fraction) -> int:
     return math.comb(ai, bi)
 
 
+def _smallest_factor(m: int) -> int:
+    """Least prime factor of m >= 2, by trial division."""
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += 1
+    return m
+
+
 def mobius(m: int) -> int:
     """Moebius function by trial division: 1, 0 on a squared prime factor,
     else (-1)^(number of prime factors)."""
     if m < 1:
         raise ValueError(f"mobius is defined on positive integers, got {m}")
     count = 0
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            rest //= d
-            if rest % d == 0:
-                return 0
-            count += 1
-        d += 1
-    if rest > 1:
+    while m > 1:
+        d = _smallest_factor(m)
+        m //= d
+        if m % d == 0:
+            return 0
         count += 1
     return -1 if count % 2 else 1
 
@@ -62,11 +67,9 @@ def mobius(m: int) -> int:
 def _require_prime(p: int) -> None:
     if p < 2:
         raise ValueError(f"prime required, got {p}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"prime required, got {p} = {d} * {p // d}")
-        d += 1
+    d = _smallest_factor(p)
+    if d != p:
+        raise ValueError(f"prime required, got {p} = {d} * {p // d}")
 
 
 def valuation(p: int, x: int) -> int:

@@ -7,7 +7,7 @@ builds only the requested format.  Exit codes: 0 success / full agreement,
 1 closed-vs-oracle divergence, 2 usage or enumeration-limit errors, 141
 when the reader closes stdout early (as under SIGPIPE).  The
 base field never enters the numbers, so --q only checks that the field
-order is odd.
+order is an odd prime power.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import json
 import os
 import sys
 from itertools import zip_longest
+from math import comb
 
+from .arith import _smallest_factor, valuation
 from .coefficients import (
     EnrichedCoefficient,
     VerifyReport,
@@ -46,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--q",
         type=int,
-        help="order of the base field; validated to be odd, nothing else"
-        " (the values are the same for every odd q)",
+        help="order of the base field; validated to be an odd prime power,"
+        " nothing else (the values are the same for every such q)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -97,15 +99,29 @@ def _emit(fmt: str, obj, header, rows, lines) -> None:
             print(line)
 
 
+def _check_printable(n: int, j: int) -> None:
+    """Refuse, before any output, a rank C(n, j) with more digits than Python
+    will print.  A cell with j outside 0..n passes, for the calculation to reject."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (no limit) before 3.10.7
+    k = min(j, n - j)
+    bound = 10**limit
+    # C(n, k) >= 2^k, so a large k is refused without computing C(n, k)
+    if limit and k >= 0 and (k >= bound.bit_length() or comb(n, k) >= bound):
+        raise ValueError(f"C({n}, {j}) has more than {limit} digits, the limit on"
+                         " printing an integer (sys.get_int_max_str_digits())")
+
+
 def _cmd_coeff(args) -> int:
     if args.twisted:
         if args.n is not None and args.n != 2 * args.j:
             raise ValueError(f"--twisted requires n = 2j, got n={args.n}, j={args.j}")
+        _check_printable(2 * args.j, args.j)
         closed = twisted_closed(args.j)
         oracle = twisted_oracle(args.j) if args.oracle else None
     else:
         if args.n is None:
             raise ValueError("--n is required unless --twisted is given")
+        _check_printable(args.n, args.j)
         closed = untwisted_closed(args.n, args.j)
         oracle = untwisted_oracle(args.n, args.j) if args.oracle else None
     cells = [closed] if oracle is None else [closed, oracle]
@@ -137,6 +153,7 @@ def triangle_text(table: list[list[EnrichedCoefficient]]) -> str:
 
 
 def _cmd_triangle(args) -> int:
+    _check_printable(args.rows - 1, (args.rows - 1) // 2)
     table = triangle(args.rows)
     _emit(args.format, lambda: triangle_to_json(table), ["row", "j", "rank", "disc", "display"],
           ([c.n, c.j, c.value.rank, c.value.disc_name, c.display] for row in table for c in row),
@@ -149,6 +166,7 @@ def _cmd_twisted(args) -> int:
         raise ValueError(f"--max-j must be positive, got {args.max_j}")
     if args.oracle:
         check_enumeration(2 * args.max_j, args.max_j)
+    _check_printable(2 * args.max_j, args.max_j)
     cells = [twisted_closed(j) for j in range(1, args.max_j + 1)]
     oracles = [twisted_oracle(j) for j in range(1, args.max_j + 1)] if args.oracle else []
     agree = all(a.value == b.value for a, b in zip(cells, oracles))
@@ -215,10 +233,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if args.q is not None and args.q % 2 == 0:
-        print(f"error: --q must be odd, got {args.q}", file=sys.stderr)
-        return 2
+    q = args.q
     try:
+        if q is not None and q % 2 == 0:
+            raise ValueError(f"--q must be odd, got {q}")
+        if q is not None and (q < 3 or (p := _smallest_factor(q)) ** valuation(p, q) != q):
+            raise ValueError(f"--q must be an odd prime power of at least 3, got {q}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 
 from .arith import big_binomial, digit_dominates
-from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_scale, gw_to_json
+from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
 from .necklaces import check_enumeration, count_even_orbits, count_even_twisted_orbits
 
 
@@ -138,30 +138,8 @@ def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
 def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
     return {
         "rows": len(table),
-        "triangle": [
-            [
-                {"n": c.n, "j": c.j, "rank": c.value.rank, "disc": c.value.disc_name,
-                 "display": c.display}
-                for c in row
-            ]
-            for row in table
-        ],
+        "triangle": [[{"n": c.n, "j": c.j, **gw_to_json(c.value)} for c in row] for row in table],
     }
-
-
-def triangle_from_json(obj: dict) -> list[list[EnrichedCoefficient]]:
-    """Rebuild a triangle from its JSON rendering (closed-form cells)."""
-    disc_values = {"square": 0, "nonsquare": 1}
-    table = []
-    for row in obj["triangle"]:
-        cells = []
-        for cell in row:
-            value = GWElem(cell["rank"], disc_values[cell["disc"]])
-            if gw_display(value) != cell["display"]:
-                raise ValueError(f"display mismatch in {cell}")
-            cells.append(EnrichedCoefficient(cell["n"], cell["j"], False, value, "closed"))
-        table.append(cells)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +174,7 @@ def _check_untwisted_cell(cell: tuple[int, int]) -> CellCheck:
     closed = untwisted_closed(n, j)
     oracle = untwisted_oracle(n, j)
     correction = big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2))
-    binomial = gw_from_coeffs(comb(n, j), 0) - gw_scale(gw_from_coeffs(1, -1), correction)
+    binomial = gw_from_coeffs(comb(n, j) - correction, correction)
     rank_ok = closed.value.rank == comb(n, j) == oracle.value.rank
     symmetry_ok = closed.value == untwisted_closed(n, n - j).value
     if n % 2 or j % 2 == 0:

@@ -79,11 +79,6 @@ def gw_from_coeffs(a: int, b: int) -> GWElem:
     return GWElem(a + b, b & 1)
 
 
-def gw_scale(x: GWElem, c: int) -> GWElem:
-    """c-fold orthogonal sum of x; negative c through group completion."""
-    return GWElem(c * x.rank, (c * x.disc) & 1)
-
-
 def trace_form_class(n: int) -> GWElem:
     """Class of the trace form of the degree-n field extension of the base field.
 

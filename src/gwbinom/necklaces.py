@@ -98,9 +98,6 @@ class Necklace:
     def blue_positions(self) -> tuple[int, ...]:
         return tuple(p for p, c in enumerate(self.bitstring()) if c == "1")
 
-    def is_blue(self, p: int) -> bool:
-        return self.bitstring()[p % self.size] == "1"
-
     def bitstring(self) -> str:
         """Position 0 leftmost, '1' for blue."""
         return f"{self.blues:0{self.size}b}"[::-1]
@@ -173,12 +170,6 @@ def _orbits(points, step):
         yield orbit
 
 
-def canonical_form(l: Necklace) -> tuple[Necklace, int]:
-    """Canonical representative (minimal bitmask over rotations) and period."""
-    orbit = _cycle(l.blues, _rotation_step(l.size))
-    return Necklace(l.size, min(orbit)), len(orbit)
-
-
 @dataclass(frozen=True)
 class AxisIndex:
     """A symmetry-axis class of an orbit, named by the reflection exponent m.
@@ -214,9 +205,6 @@ class OrbitRecord:
     @property
     def j(self) -> int:
         return self.canonical.j
-
-    def has_axis_type(self, axis_type: int) -> bool:
-        return any(a.axis_type == axis_type for a in self.axes)
 
 
 def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex, ...]:
@@ -402,8 +390,8 @@ def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
 
 def color_swap_fixed(rec: OrbitRecord) -> bool:
     """True when the color-swapped necklace lies in the same rotation orbit."""
-    swapped, _ = canonical_form(color_swap(rec.canonical))
-    return swapped == rec.canonical
+    orbit = _cycle(rec.canonical.blues, _rotation_step(rec.size))
+    return color_swap(rec.canonical).blues in orbit
 
 
 def interleave_parts(l: Necklace) -> tuple[Necklace, Necklace]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gwbinom.cli import main
-from gwbinom.coefficients import triangle, triangle_from_json, triangle_to_json
+from gwbinom.coefficients import triangle, triangle_to_json
 
 
 def run(capsys, *argv):
@@ -82,7 +82,7 @@ def test_triangle_single_row(capsys):
 def test_triangle_json_roundtrip(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "7", "--format", "json")
     assert code == 0
-    assert triangle_from_json(json.loads(out)) == triangle(7)
+    assert json.loads(out) == triangle_to_json(triangle(7))
 
 
 def test_triangle_csv_row_count(capsys):
@@ -159,6 +159,21 @@ def test_twisted_oracle_over_budget_fails_before_enumerating(capsys, monkeypatch
     assert "enumeration budget" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--n", "20000", "--j", "10000"),
+    ("coeff", "--twisted", "--j", "8000"),
+    ("twisted", "--max-j", "8000"),
+    ("triangle", "--rows", "15000"),
+    # C(n, k) >= 2^k refuses this one without computing the binomial
+    ("coeff", "--n", "100000000", "--j", "50000000"),
+])
+def test_value_too_long_to_print_fails_before_output(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "8", "--twisted-max-j", "4")
     assert code == 0
@@ -211,8 +226,12 @@ def test_verify_divergence_exit_code(capsys, monkeypatch):
 def test_q_flag(capsys):
     code, _, err = run(capsys, "--q", "8", "triangle", "--rows", "2")
     assert code == 2 and "odd" in err
-    code, out, _ = run(capsys, "--q", "9", "triangle", "--rows", "2")
-    assert code == 0
+    for q in ("-3", "1", "15"):
+        code, out, err = run(capsys, "--q", q, "triangle", "--rows", "2")
+        assert code == 2 and out == "" and "odd prime power" in err
+    for q in ("3", "9", "25"):
+        code, out, _ = run(capsys, "--q", q, "triangle", "--rows", "2")
+        assert code == 0
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,4 +1,3 @@
-import json
 import os
 from math import comb
 
@@ -8,8 +7,6 @@ from gwbinom.coefficients import (
     correction_parity,
     half_central_hyperbolic,
     triangle,
-    triangle_from_json,
-    triangle_to_json,
     twisted_closed,
     twisted_correction_parity,
     twisted_oracle,
@@ -108,12 +105,6 @@ def test_triangle_symmetry():
     for row in triangle(17):
         values = [c.value for c in row]
         assert values == values[::-1]
-
-
-def test_triangle_json_roundtrip():
-    table = triangle(9)
-    blob = json.dumps(triangle_to_json(table))
-    assert triangle_from_json(json.loads(blob)) == table
 
 
 def test_closed_equals_oracle_small():

@@ -13,7 +13,6 @@ from gwbinom.gw import (
     GWElem,
     gw_display,
     gw_from_coeffs,
-    gw_scale,
     gw_to_json,
     trace_form_class,
 )
@@ -58,8 +57,8 @@ def test_add_examples():
 def test_two_times_u_minus_one_is_zero():
     u_minus_one = gw_from_coeffs(-1, 1)
     for c in range(-6, 7, 2):
-        assert gw_scale(u_minus_one, c) == ZERO
-    assert GWElem(6, SQUARE) + gw_scale(u_minus_one, 2) == GWElem(6, SQUARE)
+        assert GWElem(c, SQUARE) * u_minus_one == ZERO
+    assert GWElem(6, SQUARE) + GWElem(2, SQUARE) * u_minus_one == GWElem(6, SQUARE)
 
 
 def test_mul_examples():
@@ -103,7 +102,7 @@ def test_ops_match_coefficient_expansion(a, b, c, d):
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-20, 20))
 def test_scale_matches_repeated_addition(a, b, c):
     x = gw_from_coeffs(a, b)
-    assert gw_scale(x, c) == gw_from_coeffs(c * a, c * b)
+    assert GWElem(c, SQUARE) * x == gw_from_coeffs(c * a, c * b)
 
 
 def test_trace_form_class_small():

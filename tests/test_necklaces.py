@@ -17,7 +17,6 @@ from gwbinom.necklaces import (
     Necklace,
     aperiodic_count,
     axis_distance,
-    canonical_form,
     classify_flip_fixed,
     color_swap,
     color_swap_fixed,
@@ -123,10 +122,10 @@ def test_bitmask_ops_match_position_set_reference(l, k):
 def test_canonical_form_matches_position_set_reference(l):
     blues = frozenset(l.blue_positions())
     rotations = {tuple(sorted(_ref_rotate(l.size, blues, k))) for k in range(l.size)}
-    canon, period = canonical_form(l)
-    assert period == len(rotations)
+    rec = orbit_record_of(l)
+    assert rec.period == len(rotations)
     masks = {sum(1 << p for p in rot) for rot in rotations}
-    assert canon.blues == min(masks)
+    assert rec.canonical.blues == min(masks)
 
 
 # --- orbit enumeration ----------------------------------------------------
@@ -404,7 +403,7 @@ def test_interleave_fiber_size_cases():
 def _type1_fibers(n, j):
     fibers = {}
     for rec in enumerate_orbits(n, j):
-        if rec.flip_fixed and rec.has_axis_type(TYPE1):
+        if rec.flip_fixed and any(a.axis_type == TYPE1 for a in rec.axes):
             fibers.setdefault(interleave_decompose(rec), []).append(rec)
     return fibers
 
@@ -503,8 +502,9 @@ def test_strip_insert_roundtrip():
                     if axis.axis_type != TYPE2:
                         continue
                     stripped = strip_axis_beads(rec, axis)
-                    assert stripped.flip_fixed and stripped.has_axis_type(TYPE1)
-                    color = BLUE if rec.canonical.is_blue(axis.m // 2) else RED
+                    assert stripped.flip_fixed
+                    assert any(a.axis_type == TYPE1 for a in stripped.axes)
+                    color = BLUE if rec.canonical.bitstring()[axis.m // 2] == "1" else RED
                     assert insert_axis_beads(stripped, color) == rec
 
 
@@ -514,13 +514,13 @@ def test_insert_surjects_with_fibers_one_or_two():
     for n in (4, 8, 12, 16):
         for j in range(0, n + 1, 2):
             type2 = [rec for rec in enumerate_orbits(n, j)
-                     if rec.flip_fixed and rec.has_axis_type(TYPE2)]
+                     if rec.flip_fixed and any(a.axis_type == TYPE2 for a in rec.axes)]
             image_counts = {}
             for jj, color in ((j - 2, BLUE), (j, RED)):
                 if not 0 <= jj <= n - 2:
                     continue
                 for rec in enumerate_orbits(n - 2, jj):
-                    if rec.flip_fixed and rec.has_axis_type(TYPE1):
+                    if rec.flip_fixed and any(a.axis_type == TYPE1 for a in rec.axes):
                         img = insert_axis_beads(rec, color)
                         image_counts[img] = image_counts.get(img, 0) + 1
             assert set(image_counts) == set(type2)
@@ -612,16 +612,16 @@ def _triple_class(l):
         p1, p2 = interleave_parts(x)
         return (
             rec.canonical.blues,
-            canonical_form(p1)[0].blues,
-            canonical_form(p2)[0].blues,
+            orbit_record_of(p1).canonical.blues,
+            orbit_record_of(p2).canonical.blues,
         )
 
     def exchanged(t):
         lm, am, bm = t
         half = l.size // 2
-        el, _ = canonical_form(color_swap(Necklace(l.size, lm)))
-        ea, _ = canonical_form(color_swap(Necklace(half, bm)))
-        eb, _ = canonical_form(color_swap(Necklace(half, am)))
+        el = orbit_record_of(color_swap(Necklace(l.size, lm))).canonical
+        ea = orbit_record_of(color_swap(Necklace(half, bm))).canonical
+        eb = orbit_record_of(color_swap(Necklace(half, am))).canonical
         return (el.blues, ea.blues, eb.blues)
 
     t = triple(l)

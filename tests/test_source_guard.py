@@ -1,6 +1,7 @@
-"""The package reads no environment knob, keeps no unbounded memo, and lays
-out beads as mask bits in one module only."""
+"""The package reads no environment knob, keeps no unbounded memo, lays out
+beads as mask bits in one module only, and re-exports nothing."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -26,3 +27,9 @@ def test_no_env_knobs_or_memo_caches():
 def test_bead_layout_stays_in_necklaces():
     # outside necklaces.py a necklace is handled as its word, never as bits
     assert _hits(BEAD_LAYOUT, exempt={"necklaces.py"}) == []
+
+
+def test_package_init_is_only_its_docstring():
+    # each name is imported from the module that defines it, by one path
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
