@@ -13,16 +13,17 @@ twisted step, so the value is the plain 2 rather than 1+u.
 from gwbinom.coefficients import twisted_closed, twisted_oracle
 from gwbinom.necklaces import (
     Necklace,
+    color_swap,
     count_even_twisted_swap_fixed,
     enumerate_twisted_orbits,
+    rotate,
     swap_action,
-    twisted_rotation,
 )
 
 print(__doc__)
 
 print("The twisted step on two beads:", Necklace(2, 1).bitstring(), "->",
-      twisted_rotation(Necklace(2, 1)).bitstring(), "(fixed)")
+      color_swap(rotate(Necklace(2, 1), 1)).bitstring(), "(fixed)")
 print()
 
 print("Twisted orbits for j = 2:")

@@ -35,6 +35,7 @@ from .coefficients import (
 from .necklaces import check_enumeration, orbit_catalog
 
 FORMATS = ("text", "json", "csv")
+MAX_Q = 10**10  # --q is checked by trial division: sqrt(MAX_Q) steps, about 0.04 s
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--q",
         type=int,
-        help="order of the base field; validated to be an odd prime power,"
-        " nothing else (the values are the same for every such q)",
+        help="order of the base field; validated to be an odd prime power of at"
+        f" most {MAX_Q}, nothing else (the values are the same for every such q)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,6 +238,8 @@ def main(argv=None) -> int:
     try:
         if q is not None and q % 2 == 0:
             raise ValueError(f"--q must be odd, got {q}")
+        if q is not None and q > MAX_Q:
+            raise ValueError(f"--q must be at most {MAX_Q} (MAX_Q), got {q}")
         if q is not None and (q < 3 or (p := _smallest_factor(q)) ** valuation(p, q) != q):
             raise ValueError(f"--q must be an odd prime power of at least 3, got {q}")
         return _COMMANDS[args.command](args)

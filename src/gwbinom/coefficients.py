@@ -21,13 +21,17 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 
 from .arith import big_binomial, digit_dominates
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
 from .necklaces import check_enumeration, count_even_orbits, count_even_twisted_orbits
+
+MAX_ROWS = 1000  # work and memory grow as rows^2; 1000 rows as JSON take about 1.2 GB
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,8 @@ def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
         raise ValueError(f"non-negative n required, got {n}")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    if n == 0:
-        # the empty necklace: a single orbit of odd period one
-        return EnrichedCoefficient(0, 0, False, gw_from_coeffs(1, 0), "oracle")
-    even = count_even_orbits(n, j)
+    # the empty necklace (n = 0): a single orbit of odd period one
+    even = count_even_orbits(n, j) if n else 0
     value = gw_from_coeffs(comb(n, j) - even, even)
     return EnrichedCoefficient(n, j, False, value, "oracle")
 
@@ -129,9 +131,12 @@ def twisted_oracle(j: int) -> EnrichedCoefficient:
 
 
 def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
-    """Rows 0 .. rows-1 of the enriched triangle, via the closed form."""
+    """Rows 0 .. rows-1 of the enriched triangle, via the closed form;
+    at most MAX_ROWS rows."""
     if rows < 1:
         raise ValueError(f"positive row count required, got {rows}")
+    if rows > MAX_ROWS:
+        raise ValueError(f"{rows} rows exceed the triangle budget of {MAX_ROWS} (MAX_ROWS)")
     return [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(rows)]
 
 
@@ -218,10 +223,7 @@ class VerifyReport:
         return all(c.ok for c in self.cells)
 
     def first_divergence(self) -> CellCheck | None:
-        for c in self.cells:
-            if not c.ok:
-                return c
-        return None
+        return next((c for c in self.cells if not c.ok), None)
 
     def to_json(self) -> dict:
         return {
@@ -239,8 +241,9 @@ class VerifyReport:
         ]
         untwisted = [c for c in self.cells if not c.twisted]
         twisted = [c for c in self.cells if c.twisted]
-        for n in sorted({c.n for c in untwisted}):
-            row = [c for c in untwisted if c.n == n]
+        # verify lists the untwisted cells by n, so each row is one run
+        for n, group in groupby(untwisted, key=lambda c: c.n):
+            row = list(group)
             ok = sum(1 for c in row if c.ok)
             total = sum(c.seconds for c in row)
             slowest = max(c.seconds for c in row)
@@ -279,7 +282,8 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     untwisted cell with n <= max_n and every twisted cell with
     j <= twisted_max_j.  The largest cell of each family is checked against
     the enumeration budget before any cell runs.  Cells shard across
-    min(jobs, CPU count, cell count) processes, serially when that is 1."""
+    min(jobs, CPU count, cell count) processes (none when that is 1), and
+    the report keeps their order: untwisted by (n, j), then twisted by j."""
     if max_n < 1 or twisted_max_j < 0 or jobs < 1:
         raise ValueError("need max_n >= 1, twisted_max_j >= 0 and jobs >= 1")
     check_enumeration(max_n, max_n // 2)
@@ -289,12 +293,8 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     untwisted_cells = [(n, j) for n in range(max_n + 1) for j in range(n + 1)]
     twisted_cells = list(range(1, twisted_max_j + 1))
     workers = min(jobs, os.cpu_count() or 1, len(untwisted_cells) + len(twisted_cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_untwisted_cell, untwisted_cells))
-            results += list(pool.map(_check_twisted_cell, twisted_cells))
-    else:
-        results = [_check_untwisted_cell(c) for c in untwisted_cells]
-        results += [_check_twisted_cell(j) for j in twisted_cells]
-    results.sort(key=lambda c: (c.twisted, c.n, c.j))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        results = list(run(_check_untwisted_cell, untwisted_cells))
+        results += run(_check_twisted_cell, twisted_cells)
     return VerifyReport(max_n, twisted_max_j, tuple(results), time.perf_counter() - start)

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-from .arith import big_binomial, mobius, valuation
+from .arith import mobius
 
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
@@ -110,8 +110,6 @@ def _from_word(word: str) -> Necklace:
 
 def _rot_mask(mask: int, n: int, k: int) -> int:
     k %= n
-    if k == 0:
-        return mask
     return ((mask << k) | (mask >> (n - k))) & ((1 << n) - 1)
 
 
@@ -211,8 +209,6 @@ def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex
     """Axis classes of a flip-fixed orbit; flipped is the flip of canon's mask."""
     n = canon.size
     ms = [m for m in range(n) if _rot_mask(flipped, n, m) == canon.blues]
-    if not ms:
-        return ()
     # Reflections fixing one necklace differ by rotations in its stabilizer,
     # so ms = {m0 + t*period}; rotating the representative shifts every m
     # by 2, hence classes are ms modulo steps of 2*period.
@@ -223,13 +219,7 @@ def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex
         reps = [m0]
     else:
         reps = [m0, m0 + period]
-
-    def axis_type(m: int) -> int:
-        if n % 2 == 1:
-            return TYPE2
-        return TYPE2 if m % 2 == 0 else TYPE1
-
-    return tuple(AxisIndex(m, axis_type(m)) for m in reps)
+    return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in reps)
 
 
 def _rotation_record(n: int, orbit: list[int]) -> OrbitRecord:
@@ -255,13 +245,8 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
     doubled units throughout.
     """
     n = rec.size
-    best = None
-    for t in range(n):
-        d = (b.m - a.m + 2 * rec.period * t) % n
-        folded = min(d, n - d)
-        if best is None or folded < best:
-            best = folded
-    return Fraction(best, 2)
+    separations = ((b.m - a.m + 2 * rec.period * t) % n for t in range(n))
+    return Fraction(min(min(d, n - d) for d in separations), 2)
 
 
 def _iter_masks(n: int, j: int):
@@ -295,18 +280,16 @@ def count_even_orbits(n: int, j: int) -> int:
     return sum(1 for rec in enumerate_orbits(n, j) if rec.period % 2 == 0)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def aperiodic_count(n: int, j: int) -> int:
     """Number of full-period rotation orbits, by Moebius inversion:
-    (1/n) * sum over l | n of mu(l) * C(n/l, j/l), fractional terms zero."""
+    (1/n) * sum over l | gcd(n, j) of mu(l) * C(n/l, j/l); the other
+    divisors l of n give fractional binomials, which vanish."""
+    if n < 1:
+        raise ValueError(f"positive n required, got {n}")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    total = sum(
-        mobius(l) * big_binomial(Fraction(n, l), Fraction(j, l)) for l in _divisors(n)
-    )
+    g = gcd(n, j)
+    total = sum(mobius(l) * comb(n // l, j // l) for l in range(1, g + 1) if g % l == 0)
     q, r = divmod(total, n)
     if r:
         raise RuntimeError(f"inversion sum {total} not divisible by {n}")
@@ -330,21 +313,16 @@ def odd_flip_fixed_closed_form(n: int, j: int) -> int:
       * v2(j) <  v2(n): 0  (odd period forces an even blue count)
 
     where the shifted arguments are genuine integers.  j = 0 counts the
-    all-red orbit, giving 1.
+    all-red orbit, giving 1.  So: halve n and j while both are even; then
+    an odd n gives C((n-1)/2, floor(j/2)) and an even n gives 0.
     """
+    if n < 1:
+        raise ValueError(f"positive n required, got {n}")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    vn = valuation(2, n)
-    vj = None if j == 0 else valuation(2, j)  # j = 0 acts as infinite valuation
-    if vj is not None and vj < vn:
-        return 0
-    m = vn if (vj is None or vj > vn) else vj
-    top = Fraction(n, 2 ** (m + 1)) - Fraction(1, 2)
-    if vj is None or vj > vn:
-        low = Fraction(j, 2 ** (m + 1))
-    else:
-        low = Fraction(j, 2 ** (m + 1)) - Fraction(1, 2)
-    return big_binomial(top, low)
+    while n % 2 == 0 and j % 2 == 0:
+        n, j = n // 2, j // 2
+    return comb((n - 1) // 2, j // 2) if n % 2 else 0
 
 
 @dataclass(frozen=True)
@@ -435,9 +413,7 @@ def interleave_fiber_size(pair: tuple[OrbitRecord, OrbitRecord]) -> int:
         return 0
     if not a.flip_fixed:
         return a.period
-    if a.period % 2:
-        return (a.period + 1) // 2
-    return a.period // 2
+    return (a.period + 1) // 2
 
 
 def strip_axis_beads(rec: OrbitRecord, axis: AxisIndex) -> OrbitRecord:
@@ -499,15 +475,6 @@ class TwistedOrbitRecord:
     canonical: Necklace
     twisted_period: int
     swap_fixed: bool
-
-    @property
-    def size(self) -> int:
-        return self.canonical.size
-
-
-def twisted_rotation(l: Necklace) -> Necklace:
-    """One step of the twisted action: rotate one bead, then swap colors."""
-    return color_swap(rotate(l, 1))
 
 
 def _twisted_record(n: int, orbit: list[int]) -> TwistedOrbitRecord:

@@ -63,10 +63,6 @@ class MarkedCyclicPartition:
     def unmarked_total(self) -> int:
         return sum(self.runs[1::2])
 
-    @property
-    def block_count(self) -> int:
-        return len(self.runs) // 2
-
     def render(self) -> str:
         """Text form with a trailing apostrophe on marked entries, e.g. "(6' 4)"."""
         parts = [f"{r}'" if i % 2 == 0 else str(r) for i, r in enumerate(self.runs)]

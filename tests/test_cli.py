@@ -174,6 +174,13 @@ def test_value_too_long_to_print_fails_before_output(capsys, argv, fmt):
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_triangle_rows_beyond_budget_fail_before_output(capsys, fmt):
+    code, out, err = run(capsys, "triangle", "--rows", "1001", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "budget of 1000 (MAX_ROWS)" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "8", "--twisted-max-j", "4")
     assert code == 0
@@ -232,6 +239,12 @@ def test_q_flag(capsys):
     for q in ("3", "9", "25"):
         code, out, _ = run(capsys, "--q", q, "triangle", "--rows", "2")
         assert code == 0
+    # a large prime would cost sqrt(q) trial divisions, so q is capped first;
+    # 9999999967 is the largest prime below the cap of 10^10
+    code, out, err = run(capsys, "--q", "100000000000031", "triangle", "--rows", "2")
+    assert code == 2 and out == "" and "at most 10000000000 (MAX_Q)" in err
+    code, out, _ = run(capsys, "--q", "9999999967", "triangle", "--rows", "2")
+    assert code == 0
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -38,7 +38,6 @@ from gwbinom.necklaces import (
     strip_axis_beads,
     swap_action,
     twisted_orbit_record_of,
-    twisted_rotation,
 )
 
 
@@ -180,6 +179,8 @@ def test_aperiodic_count_examples():
     assert aperiodic_count(4, 2) == 1
     assert aperiodic_count(6, 3) == 3
     assert aperiodic_count(5, 2) == 2
+    with pytest.raises(ValueError, match="positive n required, got 0"):
+        aperiodic_count(0, 0)
 
 
 def test_aperiodic_count_matches_enumeration():
@@ -533,8 +534,9 @@ def test_insert_surjects_with_fibers_one_or_two():
 
 
 def test_twisted_rotation_step():
-    assert twisted_rotation(neck(2, 0)) == neck(2, 0)
-    assert twisted_rotation(neck(4, 0, 1)) == neck(4, 0, 3)
+    # one step of the twisted action: rotate one bead, then swap colors
+    assert color_swap(rotate(neck(2, 0), 1)) == neck(2, 0)
+    assert color_swap(rotate(neck(4, 0, 1), 1)) == neck(4, 0, 3)
 
 
 def test_twisted_orbits_j1():

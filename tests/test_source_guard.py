@@ -1,11 +1,13 @@
 """The package reads no environment knob, keeps no unbounded memo, lays out
-beads as mask bits in one module only, and re-exports nothing."""
+beads as mask bits in one module only, re-exports nothing, and defines no
+name that nothing else names."""
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gwbinom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gwbinom"
 FORBIDDEN = re.compile(r"os\.environ|getenv|functools\.cache|from functools import .*\bcache\b|lru_cache")
 BEAD_LAYOUT = re.compile(r"<<|>>|\.blues\b")
 
@@ -33,3 +35,24 @@ def test_package_init_is_only_its_docstring():
     # each name is imported from the module that defines it, by one path
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def test_every_defined_name_is_used():
+    # a function, class, method or property named only on its own def line
+    # is dead code; dunders are called by Python itself
+    files = [p for d in ("src", "tests", "demos", "bench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    lines = [(p, i, line) for p in files + [ROOT / "README.md"]
+             for i, line in enumerate(p.read_text().splitlines(), 1)]
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for p, i, line in lines
+                       if (p, i) != (path, node.lineno)):
+                dead.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert dead == []
