@@ -22,16 +22,17 @@ inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
-Every cyclic action (the one-bead rotation, the twisted step, and the
-rotation of compositions in the partitions module) goes through one orbit
-walk, _cycle, and one enumerator, _orbits, which meets the masks in
-ascending order and skips those already seen; each orbit is therefore
-walked from its least mask, and orbits come out ordered by it.
+Rotation orbits come from _necklaces, a fixed-density necklace generator
+that yields each orbit once, as its least mask and period, with O(n)
+state.  The other cyclic actions (the twisted step, and the rotation of
+compositions in the partitions module) go through one orbit walk, _cycle,
+and one enumerator, _orbits, which meets the points in ascending order
+and skips those already seen.  Either way orbits come out ordered by
+their least mask.
 
-An enumeration visits C(n, j) masks, so it is bounded by that count:
-check_enumeration refuses n beyond the 63-bit encoding and any cell with
-more than MAX_MASKS masks, before a single mask is visited.  Nothing is
-memoised; each call enumerates afresh.
+Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration
+refuses n beyond the 63-bit encoding and any cell with more than MAX_MASKS
+masks, before any work starts.  Nothing is memoised.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .arith import mobius
 
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
-# masks; enumerate_orbits(24, 12) takes about 5 s and 310 MB (Python 3.11).
+# masks; the twisted scan of j = 12 takes about 4.6 s and 300 MB, and
+# enumerate_orbits(24, 12) about 1.3 s and 40 MB (Python 3.11).
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -222,18 +224,19 @@ def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex
     return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in reps)
 
 
-def _rotation_record(n: int, orbit: list[int]) -> OrbitRecord:
-    canon = Necklace(n, min(orbit))
-    period = len(orbit)
-    flipped = flip(canon).blues
-    flip_fixed = flipped in orbit
-    axes = _axis_classes(canon, period, flipped) if flip_fixed else ()
+def _rotation_record(n: int, least: int, period: int) -> OrbitRecord:
+    canon = Necklace(n, least)
+    word = canon.bitstring()
+    # the flip reverses the word; the orbit holds it when it is a rotation
+    flip_fixed = word[::-1] in word + word
+    axes = _axis_classes(canon, period, flip(canon).blues) if flip_fixed else ()
     return OrbitRecord(canon, period, flip_fixed, axes)
 
 
 def orbit_record_of(l: Necklace) -> OrbitRecord:
     """Record of the rotation orbit containing l."""
-    return _rotation_record(l.size, _cycle(l.blues, _rotation_step(l.size)))
+    orbit = _cycle(l.blues, _rotation_step(l.size))
+    return _rotation_record(l.size, min(orbit), len(orbit))
 
 
 def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
@@ -263,31 +266,72 @@ def _iter_masks(n: int, j: int):
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
-    """All rotation orbits of necklaces with j blues among n beads,
-    sorted by canonical bitmask."""
+def _necklaces(n: int, j: int):
+    """Yield (least mask, period) of every rotation orbit of n-bit masks of
+    popcount j, ascending by least mask.
+
+    Read MSB first, the least mask is the lexicographically least rotation
+    of its word, a necklace.  The FKM recursion over {0, 1} grows a[1..n]
+    in lex order as a prenecklace with Lyndon prefix length p: bit t copies
+    a[t - p] or, where that is 0, is 1 and sets p = t; the word is a
+    necklace of period p when p divides n.  It is pruned by density: the
+    bits left must hold the missing ones, and a necklace with j > 0 ends in
+    a 1, so a proper prefix holds fewer than j ones.  The recursion runs as
+    a loop over arrays of length n + 1, so the state is O(n).
+    """
+    a = [0] * (n + 1)  # a[0] = 0 lets bit 1 be either bit, with p = 1
+    per = [1] * (n + 1)  # per[t]: Lyndon-prefix length of a[1..t]
+    ones = [0] * (n + 1)  # ones[t]: ones among a[1..t]
+    mask = [0] * (n + 1)  # mask[t]: a[1..t] read MSB first
+    lo = range(j - n, j + 1)  # a[1..t] holds lo[t] .. hi[t] ones
+    hi = [max(j - 1, 0)] * n + [j]
+    t, bump = 1, 0  # bump = 1 when backtracking demands a 1 at t
+    while t:
+        while t <= n:
+            p, c = per[t - 1], ones[t - 1]
+            b = a[t - p] | bump | (c < lo[t])
+            if not lo[t] <= c + b <= hi[t]:
+                break
+            a[t], ones[t], mask[t] = b, c + b, 2 * mask[t - 1] + b
+            per[t] = p if b == a[t - p] else t
+            t, bump = t + 1, 0
+        else:
+            if n % per[n] == 0:
+                yield mask[n], per[n]
+        # back up to the last copied 0, the next branch puts a 1 there
+        t -= 1
+        while t and a[t]:
+            t -= 1
+        bump = 1
+
+
+def _check_cell(n: int, j: int) -> None:
     if n < 1:
         raise ValueError(f"positive n required, got {n}")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+
+
+def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
+    """All rotation orbits of necklaces with j blues among n beads,
+    sorted by canonical bitmask."""
+    _check_cell(n, j)
     check_enumeration(n, j)
-    orbits = _orbits(_iter_masks(n, j), _rotation_step(n))
-    return tuple(_rotation_record(n, orbit) for orbit in orbits)
+    return tuple(_rotation_record(n, least, period) for least, period in _necklaces(n, j))
 
 
 def count_even_orbits(n: int, j: int) -> int:
     """Number of rotation orbits with even period."""
-    return sum(1 for rec in enumerate_orbits(n, j) if rec.period % 2 == 0)
+    _check_cell(n, j)
+    check_enumeration(n, j)
+    return sum(1 for _, period in _necklaces(n, j) if period % 2 == 0)
 
 
 def aperiodic_count(n: int, j: int) -> int:
     """Number of full-period rotation orbits, by Moebius inversion:
     (1/n) * sum over l | gcd(n, j) of mu(l) * C(n/l, j/l); the other
     divisors l of n give fractional binomials, which vanish."""
-    if n < 1:
-        raise ValueError(f"positive n required, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    _check_cell(n, j)
     g = gcd(n, j)
     total = sum(mobius(l) * comb(n // l, j // l) for l in range(1, g + 1) if g % l == 0)
     q, r = divmod(total, n)
@@ -316,10 +360,7 @@ def odd_flip_fixed_closed_form(n: int, j: int) -> int:
     all-red orbit, giving 1.  So: halve n and j while both are even; then
     an odd n gives C((n-1)/2, floor(j/2)) and an even n gives 0.
     """
-    if n < 1:
-        raise ValueError(f"positive n required, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    _check_cell(n, j)
     while n % 2 == 0 and j % 2 == 0:
         n, j = n // 2, j // 2
     return comb((n - 1) // 2, j // 2) if n % 2 else 0
@@ -492,15 +533,19 @@ def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
     return _twisted_record(l.size, _cycle(l.blues, _twisted_step(l.size)))
 
 
-def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
-    """All twisted orbits of balanced necklaces with j blues among 2j beads,
-    sorted by canonical bitmask."""
+def _twisted_orbits(j: int):
+    """The twisted orbits of the balanced (2j, j) masks, as _orbits yields them."""
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
     n = 2 * j
     check_enumeration(n, j)
-    orbits = _orbits(_iter_masks(n, j), _twisted_step(n))
-    return tuple(_twisted_record(n, orbit) for orbit in orbits)
+    return _orbits(_iter_masks(n, j), _twisted_step(n))
+
+
+def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
+    """All twisted orbits of balanced necklaces with j blues among 2j beads,
+    sorted by canonical bitmask."""
+    return tuple(_twisted_record(2 * j, orbit) for orbit in _twisted_orbits(j))
 
 
 def swap_action(rec: TwistedOrbitRecord) -> TwistedOrbitRecord:
@@ -509,7 +554,7 @@ def swap_action(rec: TwistedOrbitRecord) -> TwistedOrbitRecord:
 
 
 def count_even_twisted_orbits(j: int) -> int:
-    return sum(1 for rec in enumerate_twisted_orbits(j) if rec.twisted_period % 2 == 0)
+    return sum(1 for orbit in _twisted_orbits(j) if len(orbit) % 2 == 0)
 
 
 def count_even_twisted_swap_fixed(j: int) -> int:

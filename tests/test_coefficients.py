@@ -203,6 +203,7 @@ def test_verify_over_budget_fails_before_enumerating(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("gwbinom.necklaces._iter_masks", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
     for max_n, max_j in ((25, 0), (4, 13)):
         with pytest.raises(EnumerationLimitError, match="budget"):
             verify(max_n, max_j)

@@ -1,6 +1,7 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -243,6 +244,60 @@ def test_enumeration_budget():
     with pytest.raises(EnumerationLimitError, match="budget"):
         enumerate_twisted_orbits(13)
     assert len(enumerate_orbits(30, 2)) == 15
+
+
+def _ref_orbits(n, j):
+    """Brute force on position sets: (canonical, period, flip_fixed, axes)
+    of every (n, j) rotation orbit, ordered by canonical mask."""
+    seen, out = set(), []
+    for blues in map(frozenset, itertools.combinations(range(n), j)):
+        if blues in seen:
+            continue
+        rotations = {_ref_rotate(n, blues, k) for k in range(n)}
+        seen |= rotations
+        least = min(sum(1 << p for p in r) for r in rotations)
+        canon = frozenset(p for p in range(n) if least >> p & 1)
+        period = len(rotations)
+        flipped = _ref_flip(n, canon)
+        # r^m f fixes canon; classes are m modulo the shifts 2 * period * t
+        ms = [m for m in range(n) if _ref_rotate(n, flipped, m) == canon]
+        reps = {}
+        for m in ms:
+            reps.setdefault(m % gcd(2 * period, n), m)
+        axes = tuple(
+            AxisIndex(m, TYPE2 if any((2 * p - m) % n == 0 for p in range(n)) else TYPE1)
+            for m in sorted(reps.values())
+        )
+        out.append((Necklace(n, least), period, flipped in rotations, axes))
+    return sorted(out, key=lambda rec: rec[0].blues)
+
+
+def _records(n, j):
+    return [(r.canonical, r.period, r.flip_fixed, r.axes) for r in enumerate_orbits(n, j)]
+
+
+def test_enumeration_matches_brute_force():
+    for n in range(1, 15):
+        for j in range(n + 1):
+            assert _records(n, j) == _ref_orbits(n, j), (n, j)
+
+
+@given(st.sampled_from([(n, j) for n in range(1, 21) for j in range(n + 1) if comb(n, j) <= 2000]))
+def test_enumeration_matches_brute_force_on_small_cells(cell):
+    ref = _ref_orbits(*cell)
+    assert _records(*cell) == ref
+    assert count_even_orbits(*cell) == sum(1 for rec in ref if rec[1] % 2 == 0)
+
+
+def test_even_count_keeps_no_per_mask_state():
+    # a seen set of the C(20, 10) = 184,756 masks would take about 10 MB
+    tracemalloc.start()
+    try:
+        assert count_even_orbits(20, 10) == 9252
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- symmetry axes --------------------------------------------------------
