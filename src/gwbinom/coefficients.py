@@ -123,8 +123,6 @@ def half_central_hyperbolic(j: int) -> GWElem:
 def twisted_oracle(j: int) -> EnrichedCoefficient:
     """Enumeration oracle over the rotate-then-color-swap action:
     C(2j, j) + (u - 1) * (even-twisted-period orbit count)."""
-    if j < 1:
-        raise ValueError(f"positive j required, got {j}")
     even = count_even_twisted_orbits(j)
     value = gw_from_coeffs(comb(2 * j, j) - even, even)
     return EnrichedCoefficient(2 * j, j, True, value, "oracle")

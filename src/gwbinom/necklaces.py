@@ -4,7 +4,7 @@ A necklace is a length-n circular word over {blue, red} with bead 0 at the
 top; positions run counterclockwise.  Bead sets are stored as bitmasks
 (bit p set = bead p blue), so rotation is a word rotate and the encoding
 caps n at the word width of 63 beads.  Only the mask primitives (the
-rotations, the orbit steps and the mask iterator) and the word form,
+rotations, the orbit steps and the necklace generator) and the word form,
 Necklace.bitstring and its inverse _from_word, rely on that layout; every
 other relabelling of beads (the flip, the interleave halves, cutting out
 or splicing in axis beads, and the run lengths in the partitions module)
@@ -22,13 +22,12 @@ inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
-Rotation orbits come from _necklaces, a fixed-density necklace generator
-that yields each orbit once, as its least mask and period, with O(n)
-state.  The other cyclic actions (the twisted step, and the rotation of
-compositions in the partitions module) go through one orbit walk, _cycle,
-and one enumerator, _orbits, which meets the points in ascending order
-and skips those already seen.  Either way orbits come out ordered by
-their least mask.
+Orbits come from one enumerator, _necklaces, a fixed-density necklace
+generator that yields each rotation orbit once, as its least mask and
+period, in ascending mask order with O(n) state.  The twisted orbits are
+walked by the one orbit walk, _cycle, from the necklaces' least masks and
+their one-bead rotations, since two twisted steps make a two-bead
+rotation.  No enumeration keeps a set of the points it has met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration
 refuses n beyond the 63-bit encoding and any cell with more than MAX_MASKS
@@ -45,8 +44,8 @@ from .arith import mobius
 
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
-# masks; the twisted scan of j = 12 takes about 4.6 s and 300 MB, and
-# enumerate_orbits(24, 12) about 1.3 s and 40 MB (Python 3.11).
+# masks; enumerate_orbits(24, 12) takes about 1.3 s and 40 MB, and
+# count_even_twisted_orbits(12) about 3 s in 15 MB of process RSS (Python 3.11).
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -154,22 +153,6 @@ def _cycle(start, step) -> list:
     return orbit
 
 
-def _orbits(points, step):
-    """Yield the orbit of every point not already met, as its _cycle.
-
-    The points must ascend and cover whole orbits; then each orbit is
-    walked from its least element and the orbits come out in ascending
-    order of that element.
-    """
-    seen = set()
-    for p in points:
-        if p in seen:
-            continue
-        orbit = _cycle(p, step)
-        seen.update(orbit)
-        yield orbit
-
-
 @dataclass(frozen=True)
 class AxisIndex:
     """A symmetry-axis class of an orbit, named by the reflection exponent m.
@@ -250,20 +233,6 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
     n = rec.size
     separations = ((b.m - a.m + 2 * rec.period * t) % n for t in range(n))
     return Fraction(min(min(d, n - d) for d in separations), 2)
-
-
-def _iter_masks(n: int, j: int):
-    """All n-bit masks of popcount j, ascending (Gosper's hack)."""
-    if j == 0:
-        yield 0
-        return
-    limit = 1 << n
-    mask = (1 << j) - 1
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
 def _necklaces(n: int, j: int):
@@ -534,18 +503,39 @@ def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
 
 
 def _twisted_orbits(j: int):
-    """The twisted orbits of the balanced (2j, j) masks, as _orbits yields them."""
+    """Yield every twisted orbit of the balanced (2j, j) masks once, as its
+    _cycle, in no particular order.
+
+    Two twisted steps make a two-bead rotation, so each twisted orbit is
+    walked from a necklace's least mask m or, when m's period is even, from
+    the one-bead rotation of m (an odd period puts that rotation in m's own
+    twisted orbit).  A twisted orbit of odd length is met from one start
+    only.  One of even length splits into the points an even and an odd
+    number of steps from its least one; they lie in one rotation orbit
+    each, and the walk is kept from the start on the least point's side.
+    """
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
     n = 2 * j
     check_enumeration(n, j)
-    return _orbits(_iter_masks(n, j), _twisted_step(n))
+    step = _twisted_step(n)
+
+    def orbits():
+        for least, period in _necklaces(n, j):
+            starts = (least,) if period % 2 else (least, _rot_mask(least, n, 1))
+            for start in starts:
+                orbit = _cycle(start, step)
+                if len(orbit) % 2 or orbit.index(min(orbit)) % 2 == 0:
+                    yield orbit
+
+    return orbits()
 
 
 def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
     """All twisted orbits of balanced necklaces with j blues among 2j beads,
     sorted by canonical bitmask."""
-    return tuple(_twisted_record(2 * j, orbit) for orbit in _twisted_orbits(j))
+    records = (_twisted_record(2 * j, orbit) for orbit in _twisted_orbits(j))
+    return tuple(sorted(records, key=lambda rec: rec.canonical.blues))
 
 
 def swap_action(rec: TwistedOrbitRecord) -> TwistedOrbitRecord:

@@ -25,7 +25,6 @@ from .necklaces import (
     OrbitRecord,
     _cycle,
     _from_word,
-    _orbits,
     color_swap_fixed,
     enumerate_orbits,
     orbit_record_of,
@@ -127,10 +126,13 @@ def cyclic_composition_classes(j: int) -> list[tuple[tuple[int, ...], int]]:
     """Cyclic rotation classes of compositions of j, as (canonical, period)
     pairs sorted by canonical tuple; period counts distinct single-entry
     rotations."""
-    # compositions() ascends lexicographically, so each class is walked
-    # from its least rotation and the classes come out sorted.
-    orbits = _orbits(compositions(j), lambda c: c[1:] + c[:1])
-    return [(orbit[0], len(orbit)) for orbit in orbits]
+    # compositions() ascends lexicographically, so keeping each class at
+    # its least rotation lists the classes sorted.
+    return [
+        (c, len(orbit))
+        for c in compositions(j)
+        if c == min(orbit := _cycle(c, lambda r: r[1:] + r[:1]))
+    ]
 
 
 def odd_period_composition_class_count(j: int) -> int:

@@ -153,7 +153,6 @@ def test_twisted_oracle_over_budget_fails_before_enumerating(capsys, monkeypatch
     def no_enumeration(n, j):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr("gwbinom.necklaces._iter_masks", no_enumeration)
     monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
     code, out, err = run(capsys, "twisted", "--max-j", "13", "--oracle")
     assert code == 2 and out == ""

@@ -67,6 +67,12 @@ def test_twisted_closed_validation():
         twisted_closed(0)
 
 
+def test_twisted_oracle_validation():
+    for j in (0, -1):
+        with pytest.raises(ValueError, match="positive j required"):
+            twisted_oracle(j)
+
+
 def test_twisted_oracle_examples():
     assert twisted_oracle(1).display == "2"
     assert twisted_oracle(2).display == "5+u"
@@ -202,7 +208,6 @@ def test_verify_over_budget_fails_before_enumerating(monkeypatch):
     def no_enumeration(n, j):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr("gwbinom.necklaces._iter_masks", no_enumeration)
     monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
     for max_n, max_j in ((25, 0), (4, 13)):
         with pytest.raises(EnumerationLimitError, match="budget"):

@@ -16,6 +16,7 @@ from gwbinom.necklaces import (
     AxisIndex,
     EnumerationLimitError,
     Necklace,
+    _twisted_orbits,
     aperiodic_count,
     axis_distance,
     classify_flip_fixed,
@@ -613,6 +614,37 @@ def test_twisted_period_sums_and_divisibility():
         recs = enumerate_twisted_orbits(j)
         assert sum(r.twisted_period for r in recs) == comb(2 * j, j)
         assert all((2 * j) % r.twisted_period == 0 for r in recs)
+
+
+def test_twisted_orbits_match_walks_from_every_balanced_mask():
+    # independent of the necklace generator: the distinct records of the
+    # twisted orbits through all C(2j, j) balanced masks; j = 9 is the
+    # first with an odd-length orbit whose least point is an odd number of
+    # steps from the start it is walked from
+    for j in range(1, 10):
+        records = {
+            twisted_orbit_record_of(Necklace.from_positions(2 * j, pos))
+            for pos in itertools.combinations(range(2 * j), j)
+        }
+        assert enumerate_twisted_orbits(j) == tuple(sorted(records, key=lambda r: r.canonical.blues))
+
+
+def test_twisted_orbits_refuse_bad_j_when_called():
+    with pytest.raises(ValueError, match="positive j"):
+        _twisted_orbits(0)
+    with pytest.raises(EnumerationLimitError, match="budget"):
+        _twisted_orbits(13)
+
+
+def test_twisted_even_count_keeps_no_per_mask_state():
+    # a seen set of the C(18, 9) = 48,620 balanced masks takes about 3.5 MB
+    tracemalloc.start()
+    try:
+        assert count_even_twisted_orbits(9) == 2674
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_twisted_period_law():

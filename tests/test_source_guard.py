@@ -1,6 +1,6 @@
-"""The package reads no environment knob, keeps no unbounded memo, lays out
-beads as mask bits in one module only, re-exports nothing, and defines no
-name that nothing else names."""
+"""The package reads no environment knob, keeps no unbounded memo or
+visited-point set, lays out beads as mask bits in one module only,
+re-exports nothing, and defines no name that nothing else names."""
 
 import ast
 import re
@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gwbinom"
 FORBIDDEN = re.compile(r"os\.environ|getenv|functools\.cache|from functools import .*\bcache\b|lru_cache")
 BEAD_LAYOUT = re.compile(r"<<|>>|\.blues\b")
+VISITED_SET = re.compile(r"\bset\(\)")
 
 
 def _hits(pattern, exempt=()):
@@ -24,6 +25,12 @@ def _hits(pattern, exempt=()):
 
 def test_no_env_knobs_or_memo_caches():
     assert _hits(FORBIDDEN) == []
+
+
+def test_no_visited_point_sets():
+    # enumerators yield each orbit once from a generator with O(n) state;
+    # a set of the points met would grow with the C(n, j) masks
+    assert _hits(VISITED_SET) == []
 
 
 def test_bead_layout_stays_in_necklaces():
