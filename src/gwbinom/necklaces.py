@@ -27,7 +27,9 @@ generator that yields each rotation orbit once, as its least mask and
 period, in ascending mask order with O(n) state.  The twisted orbits are
 walked by the one orbit walk, _cycle, from the necklaces' least masks and
 their one-bead rotations, since two twisted steps make a two-bead
-rotation.  No enumeration keeps a set of the points it has met.
+rotation; counting the even ones walks no orbit, since one string search
+per necklace gives its twisted length.  No enumeration keeps a set of the
+points it has met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration
 refuses n beyond the 63-bit encoding and any cell with more than MAX_MASKS
@@ -45,11 +47,13 @@ from .arith import mobius
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
 # masks; enumerate_orbits(24, 12) takes about 1.3 s and 40 MB, and
-# count_even_twisted_orbits(12) about 3 s in 15 MB of process RSS (Python 3.11).
+# count_even_twisted_orbits(12) about 1 s in 15 MB of process RSS (Python 3.11).
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
 TYPE2 = 2  # axis through at least one bead
+
+_SWAP_COLORS = str.maketrans("01", "10")
 
 BLUE = "blue"
 RED = "red"
@@ -141,6 +145,22 @@ def _twisted_step(n: int):
     """One-bead rotation of n-bit masks followed by the color swap."""
     full = (1 << n) - 1
     return lambda m: (((m << 1) & full) | (m >> (n - 1))) ^ full
+
+
+def _twisted_length(mask: int, n: int, period: int) -> int:
+    """Length of the twisted orbit through a balanced n-bit mask, by one
+    string search instead of a walk.  t twisted steps are a t-bead rotation
+    and t color swaps, and a balanced word has even period, so the orbit
+    closes at an odd offset of the word in its doubled complement, if any,
+    or else at the period."""
+    word = f"{mask:0{n}b}"
+    swapped = word.translate(_SWAP_COLORS)
+    t = (swapped + swapped[:-1]).find(word)
+    length = t if t > 0 and t % 2 else period
+    # n twisted steps are the identity
+    if n % length:
+        raise RuntimeError(f"twisted length {length} does not divide {n}")
+    return length
 
 
 def _cycle(start, step) -> list:
@@ -502,39 +522,34 @@ def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
     return _twisted_record(l.size, _cycle(l.blues, _twisted_step(l.size)))
 
 
-def _twisted_orbits(j: int):
-    """Yield every twisted orbit of the balanced (2j, j) masks once, as its
-    _cycle, in no particular order.
-
-    Two twisted steps make a two-bead rotation, so each twisted orbit is
-    walked from a necklace's least mask m or, when m's period is even, from
-    the one-bead rotation of m (an odd period puts that rotation in m's own
-    twisted orbit).  A twisted orbit of odd length is met from one start
-    only.  One of even length splits into the points an even and an odd
-    number of steps from its least one; they lie in one rotation orbit
-    each, and the walk is kept from the start on the least point's side.
-    """
+def _balanced_cell(j: int) -> int:
+    """2j, once j >= 1 and the (2j, j) cell fits the enumeration budget."""
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
-    n = 2 * j
-    check_enumeration(n, j)
-    step = _twisted_step(n)
-
-    def orbits():
-        for least, period in _necklaces(n, j):
-            starts = (least,) if period % 2 else (least, _rot_mask(least, n, 1))
-            for start in starts:
-                orbit = _cycle(start, step)
-                if len(orbit) % 2 or orbit.index(min(orbit)) % 2 == 0:
-                    yield orbit
-
-    return orbits()
+    check_enumeration(2 * j, j)
+    return 2 * j
 
 
 def enumerate_twisted_orbits(j: int) -> tuple[TwistedOrbitRecord, ...]:
     """All twisted orbits of balanced necklaces with j blues among 2j beads,
-    sorted by canonical bitmask."""
-    records = (_twisted_record(2 * j, orbit) for orbit in _twisted_orbits(j))
+    sorted by canonical bitmask.
+
+    Two twisted steps make a two-bead rotation, so each twisted orbit is
+    walked from a necklace's least mask m or from the one-bead rotation of
+    m.  A twisted orbit of odd length is met from one start only.  One of
+    even length splits into the points an even and an odd number of steps
+    from its least one; they lie in one rotation orbit each, and the walk
+    is kept from the start on the least point's side.
+    """
+    n = _balanced_cell(j)
+    step = _twisted_step(n)
+    starts = (s for least, _ in _necklaces(n, j) for s in (least, _rot_mask(least, n, 1)))
+    orbits = (_cycle(start, step) for start in starts)
+    records = (
+        _twisted_record(n, orbit)
+        for orbit in orbits
+        if len(orbit) % 2 or orbit.index(min(orbit)) % 2 == 0
+    )
     return tuple(sorted(records, key=lambda rec: rec.canonical.blues))
 
 
@@ -544,7 +559,12 @@ def swap_action(rec: TwistedOrbitRecord) -> TwistedOrbitRecord:
 
 
 def count_even_twisted_orbits(j: int) -> int:
-    return sum(1 for orbit in _twisted_orbits(j) if len(orbit) % 2 == 0)
+    """Number of twisted orbits of even length, with no orbit walked: such
+    an orbit joins a two-bead-rotation half of one necklace with the color
+    swap of its other half, so these orbits match one for one the necklaces
+    whose twisted length is even."""
+    n = _balanced_cell(j)
+    return sum(_twisted_length(least, n, period) % 2 == 0 for least, period in _necklaces(n, j))
 
 
 def count_even_twisted_swap_fixed(j: int) -> int:

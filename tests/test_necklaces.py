@@ -16,7 +16,11 @@ from gwbinom.necklaces import (
     AxisIndex,
     EnumerationLimitError,
     Necklace,
-    _twisted_orbits,
+    _cycle,
+    _necklaces,
+    _rot_mask,
+    _twisted_length,
+    _twisted_step,
     aperiodic_count,
     axis_distance,
     classify_flip_fixed,
@@ -630,10 +634,54 @@ def test_twisted_orbits_match_walks_from_every_balanced_mask():
 
 
 def test_twisted_orbits_refuse_bad_j_when_called():
+    for twisted in (enumerate_twisted_orbits, count_even_twisted_orbits):
+        with pytest.raises(ValueError, match="positive j"):
+            twisted(0)
+        with pytest.raises(EnumerationLimitError, match="budget"):
+            twisted(13)
+
+
+def test_twisted_length_equals_the_walk():
+    # the string search against the orbit walk, from both starts of every
+    # (2j, j) necklace: its least mask and that mask rotated by one bead
+    for j in range(1, 11):
+        n = 2 * j
+        step = _twisted_step(n)
+        for least, period in _necklaces(n, j):
+            for start in (least, _rot_mask(least, n, 1)):
+                assert _twisted_length(start, n, period) == len(_cycle(start, step)), (j, start)
+
+
+def test_even_twisted_count_matches_the_records():
+    # two routes: one search per necklace against the walked, deduplicated orbits
+    for j in range(1, 11):
+        records = enumerate_twisted_orbits(j)
+        assert count_even_twisted_orbits(j) == sum(r.twisted_period % 2 == 0 for r in records)
+
+
+def test_even_twisted_count_sequence():
+    assert [count_even_twisted_orbits(j) for j in range(1, 13)] == [
+        0, 1, 2, 9, 22, 78, 236, 809, 2674, 9248, 31972, 112718,
+    ]
+
+
+def test_even_twisted_count_walks_no_orbit(monkeypatch):
+    def no_walk(start, step):
+        raise AssertionError("orbit walked")
+
+    monkeypatch.setattr("gwbinom.necklaces._cycle", no_walk)
+    assert count_even_twisted_orbits(9) == 2674
+
+
+def test_even_twisted_count_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(n, j):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
     with pytest.raises(ValueError, match="positive j"):
-        _twisted_orbits(0)
+        count_even_twisted_orbits(0)
     with pytest.raises(EnumerationLimitError, match="budget"):
-        _twisted_orbits(13)
+        count_even_twisted_orbits(13)
 
 
 def test_twisted_even_count_keeps_no_per_mask_state():

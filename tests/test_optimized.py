@@ -29,6 +29,15 @@ bad = report.first_divergence()
 print(report.ok, bad.twisted, bad.match)
 """
 
+BOGUS_NECKLACE = """
+import gwbinom.necklaces as necklaces
+necklaces._necklaces = lambda n, j: iter([(0b0011, 3)])
+try:
+    necklaces.count_even_twisted_orbits(2)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
 
 def run_optimized(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -41,6 +50,13 @@ def test_wrong_mobius_raises_under_O():
     proc = run_optimized("-c", MOBIUS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised inversion sum 22 not divisible by 6")
+
+
+def test_bogus_twisted_period_raises_under_O():
+    # period 3 does not divide the 4 beads, so no twisted length can
+    proc = run_optimized("-c", BOGUS_NECKLACE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised twisted length 3 does not divide 4")
 
 
 def test_wrong_binomial_route_fails_verify_under_O():
