@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -29,7 +28,12 @@ from math import comb
 
 from .arith import big_binomial, digit_dominates
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
-from .necklaces import check_enumeration, count_even_orbits, count_even_twisted_orbits
+from .necklaces import (
+    check_enumeration,
+    count_even_orbits,
+    count_even_twisted_orbits,
+    even_orbit_counts,
+)
 
 MAX_ROWS = 1000  # work and memory grow as rows^2; 1000 rows as JSON take about 1.2 GB
 
@@ -86,9 +90,12 @@ def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
     # the empty necklace (n = 0): a single orbit of odd period one
-    even = count_even_orbits(n, j) if n else 0
-    value = gw_from_coeffs(comb(n, j) - even, even)
-    return EnrichedCoefficient(n, j, False, value, "oracle")
+    return _oracle(n, j, False, count_even_orbits(n, j) if n else 0)
+
+
+def _oracle(n: int, j: int, twisted: bool, even: int) -> EnrichedCoefficient:
+    """The oracle's value from its even orbit count: C(n, j) + (u - 1) * even."""
+    return EnrichedCoefficient(n, j, twisted, gw_from_coeffs(comb(n, j) - even, even), "oracle")
 
 
 def twisted_correction_parity(j: int) -> int:
@@ -123,9 +130,7 @@ def half_central_hyperbolic(j: int) -> GWElem:
 def twisted_oracle(j: int) -> EnrichedCoefficient:
     """Enumeration oracle over the rotate-then-color-swap action:
     C(2j, j) + (u - 1) * (even-twisted-period orbit count)."""
-    even = count_even_twisted_orbits(j)
-    value = gw_from_coeffs(comb(2 * j, j) - even, even)
-    return EnrichedCoefficient(2 * j, j, True, value, "oracle")
+    return _oracle(2 * j, j, True, count_even_twisted_orbits(j))
 
 
 def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
@@ -153,7 +158,12 @@ def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
 @dataclass(frozen=True)
 class CellCheck:
     """One closed-vs-oracle comparison plus the per-cell property checks.  On
-    an untwisted cell, match also requires the raw-binomial route to agree."""
+    an untwisted cell, match also requires the raw-binomial route to agree.
+
+    seconds is the wall time of the cell's own checks, twisted walk
+    included.  An untwisted row shares one walk among its cells, and each
+    cell adds its share C(n, j) / 2^n of that walk, so a row's cells add up
+    to the row's walk plus all of its checks."""
 
     n: int
     j: int
@@ -171,11 +181,20 @@ class CellCheck:
         return self.match and self.rank_ok and self.symmetry_ok and self.vanishing_ok
 
 
-def _check_untwisted_cell(cell: tuple[int, int]) -> CellCheck:
-    n, j = cell
+def _check_row(n: int) -> list[CellCheck]:
+    """Check the cells j = 0..n of row n against one walk over the row's
+    necklaces; CellCheck says how the walk's time is shared out."""
+    start = time.perf_counter()
+    # the empty necklace (n = 0): a single orbit of odd period one
+    even = even_orbit_counts(n) if n else [0]
+    walk = time.perf_counter() - start
+    return [_check_untwisted_cell(n, j, even[j], walk * comb(n, j) / 2**n) for j in range(n + 1)]
+
+
+def _check_untwisted_cell(n: int, j: int, even: int, walk_share: float) -> CellCheck:
     start = time.perf_counter()
     closed = untwisted_closed(n, j)
-    oracle = untwisted_oracle(n, j)
+    oracle = _oracle(n, j, False, even)
     correction = big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2))
     binomial = gw_from_coeffs(comb(n, j) - correction, correction)
     rank_ok = closed.value.rank == comb(n, j) == oracle.value.rank
@@ -188,7 +207,7 @@ def _check_untwisted_cell(cell: tuple[int, int]) -> CellCheck:
     return CellCheck(
         n, j, False, closed.display, oracle.display,
         closed.value == oracle.value == binomial, rank_ok, symmetry_ok, vanishing_ok,
-        time.perf_counter() - start,
+        time.perf_counter() - start + walk_share,
     )
 
 
@@ -279,20 +298,29 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     """Compare the closed forms against the enumeration oracles on every
     untwisted cell with n <= max_n and every twisted cell with
     j <= twisted_max_j.  The largest cell of each family is checked against
-    the enumeration budget before any cell runs.  Cells shard across
-    min(jobs, CPU count, cell count) processes (none when that is 1), and
-    the report keeps their order: untwisted by (n, j), then twisted by j."""
+    the enumeration budget before any cell runs.  The work items are the
+    untwisted rows, each one walk over its necklaces that feeds all its
+    cells, and the twisted cells.  They shard across min(jobs, CPU count,
+    item count) processes (none when that is 1), and the report keeps the
+    cell order: untwisted by (n, j), then twisted by j."""
     if max_n < 1 or twisted_max_j < 0 or jobs < 1:
         raise ValueError("need max_n >= 1, twisted_max_j >= 0 and jobs >= 1")
     check_enumeration(max_n, max_n // 2)
     if twisted_max_j:
         check_enumeration(2 * twisted_max_j, twisted_max_j)
     start = time.perf_counter()
-    untwisted_cells = [(n, j) for n in range(max_n + 1) for j in range(n + 1)]
-    twisted_cells = list(range(1, twisted_max_j + 1))
-    workers = min(jobs, os.cpu_count() or 1, len(untwisted_cells) + len(twisted_cells))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        results = list(run(_check_untwisted_cell, untwisted_cells))
-        results += run(_check_twisted_cell, twisted_cells)
+    rows = range(max_n + 1)
+    twisted_cells = range(1, twisted_max_j + 1)
+    workers = min(jobs, os.cpu_count() or 1, len(rows) + len(twisted_cells))
+    pool = nullcontext()
+    if workers > 1:
+        # imported only here: the pool's modules add about 30 ms to a fresh interpreter
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool as executor:
+        run = map if executor is None else executor.map
+        checked_rows = run(_check_row, rows)
+        twisted = run(_check_twisted_cell, twisted_cells)
+        results = [cell for row in checked_rows for cell in row] + list(twisted)
     return VerifyReport(max_n, twisted_max_j, tuple(results), time.perf_counter() - start)

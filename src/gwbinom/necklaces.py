@@ -22,18 +22,22 @@ inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
-Orbits come from one enumerator, _necklaces, a fixed-density necklace
-generator that yields each rotation orbit once, as its least mask and
-period, in ascending mask order with O(n) state.  The twisted orbits are
-walked by the one orbit walk, _cycle, from the necklaces' least masks and
-their one-bead rotations, since two twisted steps make a two-bead
-rotation; counting the even ones walks no orbit, since one string search
-per necklace gives its twisted length.  No enumeration keeps a set of the
-points it has met.
+Orbits come from one enumerator, _necklaces, a necklace generator that
+yields each rotation orbit once, as its least mask and period, in
+ascending mask order with O(n) state.  Given a blue count it is pruned to
+that density; given none it walks the whole row of n-bead necklaces once,
+and even_orbit_counts counts the even-period orbits of every density from
+that one walk.  The twisted orbits are walked by the one orbit walk,
+_cycle, from the necklaces' least masks and their one-bead rotations,
+since two twisted steps make a two-bead rotation; counting the even ones
+walks no orbit, since a necklace's period and one rotation by half of it
+give its twisted length.  No enumeration keeps a set of the points it has
+met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration
 refuses n beyond the 63-bit encoding and any cell with more than MAX_MASKS
-masks, before any work starts.  Nothing is memoised.
+masks, before any work starts, and a row walk must fit its largest cell,
+(n, n // 2).  Nothing is memoised.
 """
 
 from __future__ import annotations
@@ -47,13 +51,12 @@ from .arith import mobius
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
 # masks; enumerate_orbits(24, 12) takes about 1.3 s and 40 MB, and
-# count_even_twisted_orbits(12) about 1 s in 15 MB of process RSS (Python 3.11).
+# count_even_twisted_orbits(12) about 0.6 s and the row walk
+# even_orbit_counts(24) about 2 s, each in 15 MB of process RSS (Python 3.11).
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
 TYPE2 = 2  # axis through at least one bead
-
-_SWAP_COLORS = str.maketrans("01", "10")
 
 BLUE = "blue"
 RED = "red"
@@ -148,15 +151,16 @@ def _twisted_step(n: int):
 
 
 def _twisted_length(mask: int, n: int, period: int) -> int:
-    """Length of the twisted orbit through a balanced n-bit mask, by one
-    string search instead of a walk.  t twisted steps are a t-bead rotation
-    and t color swaps, and a balanced word has even period, so the orbit
-    closes at an odd offset of the word in its doubled complement, if any,
-    or else at the period."""
-    word = f"{mask:0{n}b}"
-    swapped = word.translate(_SWAP_COLORS)
-    t = (swapped + swapped[:-1]).find(word)
-    length = t if t > 0 and t % 2 else period
+    """Length of the twisted orbit through a balanced n-bit mask, with no
+    walk.  t twisted steps are a t-bead rotation and t color swaps.  An even
+    t closes the orbit when the period p divides t; an odd t when rotating
+    by t swaps the colors, so twice t is a multiple of p but t is not, and
+    t is an odd multiple of p/2.  A balanced word has even period, so the
+    orbit closes at p/2 when p/2 is odd and that rotation swaps the colors,
+    and at p otherwise."""
+    half = period // 2
+    full = (1 << n) - 1
+    length = half if half % 2 and _rot_mask(mask, n, half) == mask ^ full else period
     # n twisted steps are the identity
     if n % length:
         raise RuntimeError(f"twisted length {length} does not divide {n}")
@@ -255,9 +259,9 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
     return Fraction(min(min(d, n - d) for d in separations), 2)
 
 
-def _necklaces(n: int, j: int):
+def _necklaces(n: int, j: int | None = None):
     """Yield (least mask, period) of every rotation orbit of n-bit masks of
-    popcount j, ascending by least mask.
+    popcount j, or of every popcount when j is None, ascending by least mask.
 
     Read MSB first, the least mask is the lexicographically least rotation
     of its word, a necklace.  The FKM recursion over {0, 1} grows a[1..n]
@@ -265,31 +269,44 @@ def _necklaces(n: int, j: int):
     a[t - p] or, where that is 0, is 1 and sets p = t; the word is a
     necklace of period p when p divides n.  It is pruned by density: the
     bits left must hold the missing ones, and a necklace with j > 0 ends in
-    a 1, so a proper prefix holds fewer than j ones.  The recursion runs as
-    a loop over arrays of length n + 1, so the state is O(n).
+    a 1, so a proper prefix holds fewer than j ones.  With no j the bounds
+    are 0 and t ones, which never bind, and the loop is the plain FKM walk
+    over the whole row.  The recursion runs as a loop over arrays of length
+    n + 1, so the state is O(n).
     """
     a = [0] * (n + 1)  # a[0] = 0 lets bit 1 be either bit, with p = 1
     per = [1] * (n + 1)  # per[t]: Lyndon-prefix length of a[1..t]
     ones = [0] * (n + 1)  # ones[t]: ones among a[1..t]
     mask = [0] * (n + 1)  # mask[t]: a[1..t] read MSB first
-    lo = range(j - n, j + 1)  # a[1..t] holds lo[t] .. hi[t] ones
-    hi = [max(j - 1, 0)] * n + [j]
+    # a[1..t] holds lo[t] .. hi[t] ones
+    if j is None:
+        lo, hi = [0] * (n + 1), range(n + 1)
+    else:
+        lo, hi = range(j - n, j + 1), [max(j - 1, 0)] * n + [j]
     t, bump = 1, 0  # bump = 1 when backtracking demands a 1 at t
     while t:
+        p, c, m = per[t - 1], ones[t - 1], mask[t - 1]
         while t <= n:
-            p, c = per[t - 1], ones[t - 1]
-            b = a[t - p] | bump | (c < lo[t])
-            if not lo[t] <= c + b <= hi[t]:
+            x = a[t - p]
+            b = x | bump | (c < lo[t])
+            c += b
+            if not lo[t] <= c <= hi[t]:
                 break
-            a[t], ones[t], mask[t] = b, c + b, 2 * mask[t - 1] + b
-            per[t] = p if b == a[t - p] else t
+            if b != x:
+                p = t
+            m = 2 * m + b
+            a[t] = b
+            per[t] = p
+            ones[t] = c
+            mask[t] = m
             t, bump = t + 1, 0
         else:
-            if n % per[n] == 0:
-                yield mask[n], per[n]
-        # back up to the last copied 0, the next branch puts a 1 there
+            if n % p == 0:
+                yield m, p
+        # back up to the last copied 0, the next branch puts a 1 there;
+        # a[0] = 0 stops the walk
         t -= 1
-        while t and a[t]:
+        while a[t]:
             t -= 1
         bump = 1
 
@@ -314,6 +331,19 @@ def count_even_orbits(n: int, j: int) -> int:
     _check_cell(n, j)
     check_enumeration(n, j)
     return sum(1 for _, period in _necklaces(n, j) if period % 2 == 0)
+
+
+def even_orbit_counts(n: int) -> list[int]:
+    """Number of rotation orbits with even period for each popcount
+    j = 0..n, from one walk over every necklace of the row.  The row's
+    largest cell, (n, n // 2), must fit the enumeration budget."""
+    _check_cell(n, 0)
+    check_enumeration(n, n // 2)
+    counts = [0] * (n + 1)
+    for least, period in _necklaces(n):
+        if period % 2 == 0:
+            counts[least.bit_count()] += 1
+    return counts
 
 
 def aperiodic_count(n: int, j: int) -> int:
@@ -562,7 +592,8 @@ def count_even_twisted_orbits(j: int) -> int:
     """Number of twisted orbits of even length, with no orbit walked: such
     an orbit joins a two-bead-rotation half of one necklace with the color
     swap of its other half, so these orbits match one for one the necklaces
-    whose twisted length is even."""
+    whose twisted length is even.  That length is an O(1) test on the
+    necklace's least mask and period, by `_twisted_length`."""
     n = _balanced_cell(j)
     return sum(_twisted_length(least, n, period) % 2 == 0 for least, period in _necklaces(n, j))
 

@@ -277,6 +277,15 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0] == "1+u"
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # only verify --jobs above 1 needs the pool; its imports cost every run
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, gwbinom.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_closed_stdout_exits_141_without_traceback():
     # 9 MB of JSON outgrows any pipe buffer, so the writer meets the closed pipe
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

@@ -215,7 +215,7 @@ def test_verify_over_budget_fails_before_enumerating(monkeypatch):
 
 
 def test_verify_clamps_pool_to_cpu_count(monkeypatch):
-    import gwbinom.coefficients as coefficients
+    import concurrent.futures
 
     asked = []
 
@@ -232,15 +232,32 @@ def test_verify_clamps_pool_to_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert verify(3, 1, jobs=64).ok
     assert all(w <= (os.cpu_count() or 1) for w in asked)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     asked.clear()
     verify(3, 1, jobs=64)
-    verify(1, 0, jobs=64)  # three cells
+    verify(1, 0, jobs=64)  # two work items: the rows n = 0 and n = 1
     verify(3, 1, jobs=1)
-    assert asked == [4, 3]
+    assert asked == [4, 2]
+
+
+def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
+    import time
+
+    import gwbinom.coefficients as coefficients
+
+    walk = coefficients.even_orbit_counts
+
+    def slow_walk(n):
+        time.sleep(0.04)
+        return walk(n)
+
+    monkeypatch.setattr(coefficients, "even_orbit_counts", slow_walk)
+    row = [c for c in verify(4, 0).cells if c.n == 4]
+    assert sum(c.seconds for c in row) >= 0.04
+    assert all(c.seconds >= 0.04 * comb(4, c.j) / 16 for c in row)
 
 
 def test_verify_parallel_matches_serial():

@@ -31,6 +31,7 @@ from gwbinom.necklaces import (
     count_even_twisted_swap_fixed,
     enumerate_orbits,
     enumerate_twisted_orbits,
+    even_orbit_counts,
     flip,
     insert_axis_beads,
     interleave_decompose,
@@ -173,6 +174,16 @@ def test_count_even_orbits_examples():
     assert count_even_orbits(4, 1) == 1
     assert count_even_orbits(4, 2) == 2
     assert count_even_orbits(3, 1) == 0
+
+
+def test_row_walk_matches_the_density_pruned_cells():
+    # one unpruned walk over row n against n + 1 walks pruned to one density
+    for n in range(1, 19):
+        assert even_orbit_counts(n) == [count_even_orbits(n, j) for j in range(n + 1)], n
+    with pytest.raises(EnumerationLimitError, match="budget"):
+        even_orbit_counts(25)
+    with pytest.raises(ValueError, match="positive n"):
+        even_orbit_counts(0)
 
 
 def test_odd_bead_count_has_no_even_orbits():
@@ -642,7 +653,7 @@ def test_twisted_orbits_refuse_bad_j_when_called():
 
 
 def test_twisted_length_equals_the_walk():
-    # the string search against the orbit walk, from both starts of every
+    # the half-period test against the orbit walk, from both starts of every
     # (2j, j) necklace: its least mask and that mask rotated by one bead
     for j in range(1, 11):
         n = 2 * j
@@ -652,8 +663,20 @@ def test_twisted_length_equals_the_walk():
                 assert _twisted_length(start, n, period) == len(_cycle(start, step)), (j, start)
 
 
+def test_half_period_twisted_length_on_the_row_walk():
+    # the balanced least masks and periods of the unpruned row walk: the
+    # half-period test must agree with the orbit walk there too
+    for j in range(1, 10):
+        n = 2 * j
+        step = _twisted_step(n)
+        balanced = [(m, p) for m, p in _necklaces(n) if m.bit_count() == j]
+        assert len(balanced) == len(enumerate_orbits(n, j))
+        for least, period in balanced:
+            assert _twisted_length(least, n, period) == len(_cycle(least, step)), (j, least)
+
+
 def test_even_twisted_count_matches_the_records():
-    # two routes: one search per necklace against the walked, deduplicated orbits
+    # two routes: one O(1) test per necklace against the walked, deduplicated orbits
     for j in range(1, 11):
         records = enumerate_twisted_orbits(j)
         assert count_even_twisted_orbits(j) == sum(r.twisted_period % 2 == 0 for r in records)
