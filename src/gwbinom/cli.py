@@ -3,11 +3,11 @@
 Subcommands: coeff, triangle, twisted, necklaces, verify; text, JSON, and
 CSV output where it makes sense.  Each subcommand computes its data and
 exit code, then makes one call to the single renderer, ``_emit``, which
-builds only the requested format.  Exit codes: 0 success / full agreement,
-1 closed-vs-oracle divergence, 2 usage or enumeration-limit errors, 141
-when the reader closes stdout early (as under SIGPIPE).  The
-base field never enters the numbers, so --q only checks that the field
-order is an odd prime power.
+builds only the requested format (JSON by ``_dumps``, as ``json.dumps``
+with indent=2).  Exit codes: 0 success / full agreement, 1 closed-vs-oracle
+divergence, 2 usage or enumeration-limit errors, 141 when the reader closes
+stdout early (as under SIGPIPE).  The base field never enters the numbers,
+so --q only checks that the field order is an odd prime power.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from itertools import zip_longest
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 
 from .arith import _smallest_factor, valuation
@@ -86,11 +87,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, on plain dicts (str keys),
+    lists, tuples and scalars.  A container holding no non-empty container is one
+    C-encoder call; its item separator adds every newline, as strings escape theirs."""
+    if c_make_encoder is None:  # an interpreter without CPython's _json
+        return json.dumps(obj, indent=2)
+    encoders = {}
+
+    def encode(o, outer: str) -> str:  # outer: a comma, a newline and o's indent
+        sep = outer + "  "
+        enc = encoders.get(sep) or encoders.setdefault(sep, c_make_encoder(
+            None, None, encode_basestring_ascii, None, ": ", sep, False, False, True))
+        is_dict = isinstance(o, dict)
+        items = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
+        if not items:  # a scalar, [] or {}
+            return "".join(enc(o, 0))
+        if {dict, list, tuple}.isdisjoint(map(type, filter(None, items))):
+            body = "".join(enc(o, 0))[1:-1]
+        elif is_dict:
+            body = sep.join(f"{encode_basestring_ascii(k)}: {encode(o[k], sep)}" for k in o)
+        else:
+            body = sep.join(encode(v, sep) for v in o)
+        left, right = "{}" if is_dict else "[]"
+        return f"{left}{sep[1:]}{body}{outer[1:]}{right}"
+
+    return encode(obj, ",\n")
+
+
 def _emit(fmt: str, obj, header, rows, lines) -> None:
-    """Print only the requested format: JSON from the zero-argument callable
-    obj, CSV from header and the iterable rows, text from the iterable lines."""
+    """Print only the requested format: JSON of the zero-argument callable obj
+    by _dumps (the bytes of json.dumps with indent=2), CSV from header and the
+    iterable rows, text from the iterable lines."""
     if fmt == "json":
-        print(json.dumps(obj(), indent=2))
+        print(_dumps(obj()))
     elif fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)

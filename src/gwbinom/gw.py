@@ -24,7 +24,7 @@ NONSQUARE = 1
 _DISC_NAMES = {SQUARE: "square", NONSQUARE: "nonsquare"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GWElem:
     """A Grothendieck-Witt class in (rank, discriminant) normal form."""
 

@@ -77,7 +77,7 @@ def check_enumeration(n: int, j: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Necklace:
     """A two-colored necklace: bead count and the bitmask of blue beads."""
 
@@ -177,7 +177,7 @@ def _cycle(start, step) -> list:
     return orbit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxisIndex:
     """A symmetry-axis class of an orbit, named by the reflection exponent m.
 
@@ -191,7 +191,7 @@ class AxisIndex:
     axis_type: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitRecord:
     """A rotation orbit: canonical necklace, period, flip behaviour, axes.
 
@@ -528,7 +528,7 @@ def insert_axis_beads(rec: OrbitRecord, color: str) -> OrbitRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistedOrbitRecord:
     """An orbit of the rotate-then-color-swap action on balanced necklaces."""
 

@@ -3,9 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from gwbinom import cli
 from gwbinom.cli import main
 from gwbinom.coefficients import triangle, triangle_to_json
 
@@ -83,6 +87,33 @@ def test_triangle_json_roundtrip(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "7", "--format", "json")
     assert code == 0
     assert json.loads(out) == triangle_to_json(triangle(7))
+
+
+_TEXT = st.text(st.sampled_from('az"\\{}[]:, \n\t\x00\x1f\x7fé€\u2028😀') | st.characters(),
+                max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+            | st.floats() | st.sampled_from([1e16, 1e300, 5e-324, -0.0, 1.5e-7]) | _TEXT)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4)
+                  | st.tuples(kids, kids)),
+    max_leaves=30,
+)
+
+
+def _nest(tree, depth: int):
+    for level in range(depth):
+        tree = [tree] if level % 2 else {"k": tree}
+    return tree
+
+
+@pytest.mark.parametrize("c_encoder", [cli.c_make_encoder, None], ids=["c", "fallback"])
+@given(st.builds(_nest, _TREES, st.integers(0, 40)))
+def test_dumps_is_indent_2_json(c_encoder, tree):
+    # floats take exponent forms, nan and inf; strings carry quotes, braces,
+    # newlines, control and non-ASCII characters; containers nest and are empty
+    with mock.patch.object(cli, "c_make_encoder", c_encoder):
+        assert cli._dumps(tree) == json.dumps(tree, indent=2)
 
 
 def test_triangle_csv_row_count(capsys):

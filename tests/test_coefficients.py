@@ -1,8 +1,10 @@
 import os
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from gwbinom.arith import big_binomial
 from gwbinom.coefficients import (
     correction_parity,
     half_central_hyperbolic,
@@ -45,6 +47,15 @@ def test_correction_parity_is_even_orbit_parity():
     for n in range(2, 17, 2):
         for j in range(1, n + 1, 2):
             assert correction_parity(n, j) == count_even_orbits(n, j) % 2
+
+
+def test_correction_parity_is_raw_binomial_parity():
+    # the integer digit-dominance test against the parity of the fractional
+    # binomial C((n-2)/2, (j-1)/2), out-of-range and negative pairs included
+    for n in range(-4, 260):
+        for j in range(-4, 260):
+            want = big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)) % 2
+            assert correction_parity(n, j) == want, (n, j)
 
 
 def test_rank_is_plain_binomial():

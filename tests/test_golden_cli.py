@@ -59,6 +59,10 @@ TRANSCRIPT_SHA256 = "b4b09571b2d117d74f26af6f47c5ef7c994fafd70aa633bcb7a2c9fbbdd
 
 DIVERGENT_SHA256 = "89b3942b15cfa76bc6deb6ec6234290a7c6ab525f3de0ef87f32bcb03e03b30d"
 
+# sha256 of `triangle --rows 300 --format json`: TRIANGLE_SHA256 in the
+# benchmark's bench/workloads.py, pinned when the benchmark was introduced
+TRIANGLE_300_SHA256 = "fb1799fa0cb13323fe6b53d8c66ffa48de211c95a5377235d11a4056f1967e7e"
+
 _TIMING = re.compile(r"\d+(?:\.\d+)?e-\d+|\d+\.\d+s?")
 
 
@@ -106,3 +110,10 @@ def test_cli_divergence_transcript_digest(monkeypatch):
     monkeypatch.setattr(cli, "twisted_oracle", off(cli.twisted_oracle, (4,)))
     cases = [((*argv, "--format", fmt), False) for argv in DIVERGENT for fmt in FORMATS]
     assert hashlib.sha256(_transcript(cases).encode()).hexdigest() == DIVERGENT_SHA256
+
+
+def test_full_size_triangle_json_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["triangle", "--rows", "300", "--format", "json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TRIANGLE_300_SHA256
