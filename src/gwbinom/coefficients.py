@@ -5,7 +5,7 @@ The untwisted coefficient attached to (n, j) is the Grothendieck-Witt
 class C(n, j) - (1 - u) * C((n-2)/2, (j-1)/2), fractional binomials
 vanishing; since 2(1 - u) = 0 only the parity of the correction matters,
 and by Lucas that parity is 1 exactly when (j-1)/2 digit-dominates into
-(n-2)/2.  `verify` checks both routes against the oracle on every cell.
+(n-2)/2.  `verify` checks every cell by each route of its family in `ROUTES`.
 
 The independent oracle evaluates the same class as
 C(n, j) + (u - 1) * (number of even-period rotation orbits of (n, j)
@@ -90,12 +90,13 @@ def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
     # the empty necklace (n = 0): a single orbit of odd period one
-    return _oracle(n, j, False, count_even_orbits(n, j) if n else 0)
+    even = count_even_orbits(n, j) if n else 0
+    return EnrichedCoefficient(n, j, False, _corrected(n, j, even), "oracle")
 
 
-def _oracle(n: int, j: int, twisted: bool, even: int) -> EnrichedCoefficient:
-    """The oracle's value from its even orbit count: C(n, j) + (u - 1) * even."""
-    return EnrichedCoefficient(n, j, twisted, gw_from_coeffs(comb(n, j) - even, even), "oracle")
+def _corrected(n: int, j: int, correction: int) -> GWElem:
+    """The class C(n, j) + (u - 1) * correction."""
+    return gw_from_coeffs(comb(n, j) - correction, correction)
 
 
 def twisted_correction_parity(j: int) -> int:
@@ -112,9 +113,8 @@ def twisted_closed(j: int) -> EnrichedCoefficient:
     """Closed-form twisted coefficient: C(2j, j) + (u - 1) * correction."""
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
-    c = comb(2 * j, j)
     d = twisted_correction_parity(j)
-    return EnrichedCoefficient(2 * j, j, True, gw_from_coeffs(c - d, d), "closed")
+    return EnrichedCoefficient(2 * j, j, True, _corrected(2 * j, j, d), "closed")
 
 
 def half_central_hyperbolic(j: int) -> GWElem:
@@ -130,7 +130,8 @@ def half_central_hyperbolic(j: int) -> GWElem:
 def twisted_oracle(j: int) -> EnrichedCoefficient:
     """Enumeration oracle over the rotate-then-color-swap action:
     C(2j, j) + (u - 1) * (even-twisted-period orbit count)."""
-    return _oracle(2 * j, j, True, count_even_twisted_orbits(j))
+    even = count_even_twisted_orbits(j)
+    return EnrichedCoefficient(2 * j, j, True, _corrected(2 * j, j, even), "oracle")
 
 
 def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
@@ -155,15 +156,34 @@ def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Each family's routes in display order.  A route maps (n, j, even), with
+# even the work item's even-orbit count, to the cell's class, and looks its
+# function up by name when called, so a patched module attribute takes effect.
+ROUTES = {
+    False: (
+        ("closed", lambda n, j, even: untwisted_closed(n, j).value),
+        ("binomial", lambda n, j, even: _corrected(
+            n, j, big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)))),
+        ("oracle", lambda n, j, even: _corrected(n, j, even)),
+    ),
+    True: (
+        ("closed", lambda n, j, even: twisted_closed(j).value),
+        ("oracle", lambda n, j, even: _corrected(n, j, even)),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class CellCheck:
-    """One closed-vs-oracle comparison plus the per-cell property checks.  On
-    an untwisted cell, match also requires the raw-binomial route to agree.
+    """One cell checked by every route of its family in `ROUTES`, plus the
+    per-cell property checks.  match means all the routes agree; routes
+    holds each route's display in table order for the divergence line, and
+    stays out of the JSON.
 
-    seconds is the wall time of the cell's own checks, twisted walk
-    included.  An untwisted row shares one walk among its cells, and each
-    cell adds its share C(n, j) / 2^n of that walk, so a row's cells add up
-    to the row's walk plus all of its checks."""
+    seconds is the wall time of the cell's own checks plus its share of its
+    work item's count: an untwisted row shares one walk among its cells,
+    each taking C(n, j) / 2^n of it, and a twisted cell takes its whole
+    count.  So a work item's cells add up to its count plus their checks."""
 
     n: int
     j: int
@@ -175,56 +195,43 @@ class CellCheck:
     symmetry_ok: bool
     vanishing_ok: bool
     seconds: float
+    routes: tuple[tuple[str, str], ...]
 
     @property
     def ok(self) -> bool:
         return self.match and self.rank_ok and self.symmetry_ok and self.vanishing_ok
 
 
-def _check_row(n: int) -> list[CellCheck]:
-    """Check the cells j = 0..n of row n against one walk over the row's
-    necklaces; CellCheck says how the walk's time is shared out."""
+def _check_item(item: tuple[bool, int]) -> list[CellCheck]:
+    """Check the cells of one work item, (False, n) for untwisted row n or
+    (True, j) for twisted cell j, against one even-orbit count of the item;
+    CellCheck says how the count's time is shared out."""
+    twisted, k = item
+    cells = [(2 * k, k)] if twisted else [(k, j) for j in range(k + 1)]
     start = time.perf_counter()
     # the empty necklace (n = 0): a single orbit of odd period one
-    even = even_orbit_counts(n) if n else [0]
-    walk = time.perf_counter() - start
-    return [_check_untwisted_cell(n, j, even[j], walk * comb(n, j) / 2**n) for j in range(n + 1)]
+    even = [count_even_twisted_orbits(k)] if twisted else even_orbit_counts(k) if k else [0]
+    count_s = time.perf_counter() - start
+    total = sum(comb(n, j) for n, j in cells)
+    return [_check_cell(twisted, n, j, e, count_s * comb(n, j) / total)
+            for (n, j), e in zip(cells, even)]
 
 
-def _check_untwisted_cell(n: int, j: int, even: int, walk_share: float) -> CellCheck:
+def _check_cell(twisted: bool, n: int, j: int, even: int, share: float) -> CellCheck:
     start = time.perf_counter()
-    closed = untwisted_closed(n, j)
-    oracle = _oracle(n, j, False, even)
-    correction = big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2))
-    binomial = gw_from_coeffs(comb(n, j) - correction, correction)
-    rank_ok = closed.value.rank == comb(n, j) == oracle.value.rank
-    symmetry_ok = closed.value == untwisted_closed(n, n - j).value
-    if n % 2 or j % 2 == 0:
-        # odd bead count, or both counts even: no correction survives
-        vanishing_ok = closed.value.disc == SQUARE and oracle.value.disc == SQUARE
-    else:
-        vanishing_ok = True
+    values = {name: route(n, j, even) for name, route in ROUTES[twisted]}
+    closed, oracle = values["closed"], values["oracle"]
+    # no correction survives on an odd twisted j, where swapping acts freely,
+    # nor on an untwisted cell with n odd, or with n and j both even
+    vanishes = j % 2 if twisted else n % 2 or j % 2 == 0
     return CellCheck(
-        n, j, False, closed.display, oracle.display,
-        closed.value == oracle.value == binomial, rank_ok, symmetry_ok, vanishing_ok,
-        time.perf_counter() - start + walk_share,
-    )
-
-
-def _check_twisted_cell(j: int) -> CellCheck:
-    start = time.perf_counter()
-    closed = twisted_closed(j)
-    oracle = twisted_oracle(j)
-    rank_ok = closed.value.rank == comb(2 * j, j) == oracle.value.rank
-    if j % 2:
-        # odd j: swapping acts freely, so no correction survives
-        vanishing_ok = closed.value.disc == SQUARE and oracle.value.disc == SQUARE
-    else:
-        vanishing_ok = True
-    return CellCheck(
-        2 * j, j, True, closed.display, oracle.display,
-        closed.value == oracle.value, rank_ok, True, vanishing_ok,
-        time.perf_counter() - start,
+        n, j, twisted, gw_display(closed), gw_display(oracle),
+        all(v == closed for v in values.values()),
+        all(v.rank == comb(n, j) for v in values.values()),
+        twisted or closed == untwisted_closed(n, n - j).value,
+        not vanishes or closed.disc == oracle.disc == SQUARE,
+        time.perf_counter() - start + share,
+        tuple((name, gw_display(v)) for name, v in values.items()),
     )
 
 
@@ -247,7 +254,7 @@ class VerifyReport:
             "max_n": self.max_n,
             "twisted_max_j": self.twisted_max_j,
             "pass": self.ok,
-            "cells": [asdict(c) for c in self.cells],
+            "cells": [{k: v for k, v in asdict(c).items() if k != "routes"} for c in self.cells],
             "seconds": self.seconds,
         }
 
@@ -271,36 +278,30 @@ class VerifyReport:
         for c in twisted:
             status = "ok" if c.ok else "FAIL"
             lines.append(f"  twisted j={c.j:2d}  {c.closed:>12}  {status}  {c.seconds:.3f}s")
-        lines.append(
-            "properties: rank {}  row symmetry {}  vanishing {}".format(
-                "ok" if all(c.rank_ok for c in self.cells) else "FAIL",
-                "ok" if all(c.symmetry_ok for c in self.cells) else "FAIL",
-                "ok" if all(c.vanishing_ok for c in self.cells) else "FAIL",
-            )
-        )
+        held = lambda flag: "ok" if all(getattr(c, flag) for c in self.cells) else "FAIL"
+        lines.append(f"properties: rank {held('rank_ok')}  row symmetry {held('symmetry_ok')}"
+                     f"  vanishing {held('vanishing_ok')}")
         bad = self.first_divergence()
         if bad is not None:
             kind = "twisted" if bad.twisted else "untwisted"
             lines.append(
-                f"DIVERGENCE at {kind} (n={bad.n}, j={bad.j}):"
-                f" closed={bad.closed} oracle={bad.oracle}"
-                f" match={bad.match} rank_ok={bad.rank_ok}"
+                f"DIVERGENCE at {kind} (n={bad.n}, j={bad.j}): "
+                + " ".join(f"{name}={shown}" for name, shown in bad.routes)
+                + f" match={bad.match} rank_ok={bad.rank_ok}"
                 f" symmetry_ok={bad.symmetry_ok} vanishing_ok={bad.vanishing_ok}"
             )
-        lines.append(
-            f"VERIFY {'PASS' if self.ok else 'FAIL'}"
-            f" ({len(self.cells)} cells, {self.seconds:.2f}s)"
-        )
+        lines.append(f"VERIFY {'PASS' if self.ok else 'FAIL'}"
+                     f" ({len(self.cells)} cells, {self.seconds:.2f}s)")
         return "\n".join(lines)
 
 
 def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
-    """Compare the closed forms against the enumeration oracles on every
-    untwisted cell with n <= max_n and every twisted cell with
-    j <= twisted_max_j.  The largest cell of each family is checked against
-    the enumeration budget before any cell runs.  The work items are the
-    untwisted rows, each one walk over its necklaces that feeds all its
-    cells, and the twisted cells.  They shard across min(jobs, CPU count,
+    """Check every route of `ROUTES` on every untwisted cell with n <= max_n
+    and every twisted cell with j <= twisted_max_j.  The largest cell of
+    each family is checked against the enumeration budget before any cell
+    runs.  The work items are (False, n) for each untwisted row, one walk
+    over its necklaces that feeds all its cells, and (True, j) for each
+    twisted cell, one count.  One map runs them across min(jobs, CPU count,
     item count) processes (none when that is 1), and the report keeps the
     cell order: untwisted by (n, j), then twisted by j."""
     if max_n < 1 or twisted_max_j < 0 or jobs < 1:
@@ -309,9 +310,9 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     if twisted_max_j:
         check_enumeration(2 * twisted_max_j, twisted_max_j)
     start = time.perf_counter()
-    rows = range(max_n + 1)
-    twisted_cells = range(1, twisted_max_j + 1)
-    workers = min(jobs, os.cpu_count() or 1, len(rows) + len(twisted_cells))
+    items = [(False, n) for n in range(max_n + 1)]
+    items += [(True, j) for j in range(1, twisted_max_j + 1)]
+    workers = min(jobs, os.cpu_count() or 1, len(items))
     pool = nullcontext()
     if workers > 1:
         # imported only here: the pool's modules add about 30 ms to a fresh interpreter
@@ -320,7 +321,5 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool as executor:
         run = map if executor is None else executor.map
-        checked_rows = run(_check_row, rows)
-        twisted = run(_check_twisted_cell, twisted_cells)
-        results = [cell for row in checked_rows for cell in row] + list(twisted)
+        results = [cell for cells in run(_check_item, items) for cell in cells]
     return VerifyReport(max_n, twisted_max_j, tuple(results), time.perf_counter() - start)

@@ -247,6 +247,7 @@ def test_verify_json(capsys):
 
 def test_verify_divergence_exit_code(capsys, monkeypatch):
     import gwbinom.coefficients as coefficients
+    from gwbinom.gw import GWElem, gw_display
 
     real = coefficients.untwisted_closed
 
@@ -255,10 +256,34 @@ def test_verify_divergence_exit_code(capsys, monkeypatch):
             return real(4, 2)
         return real(n, j)
 
-    monkeypatch.setattr(coefficients, "untwisted_closed", corrupted)
-    code, out, _ = run(capsys, "verify", "--max-n", "4", "--twisted-max-j", "1")
+    with monkeypatch.context() as patch:
+        patch.setattr(coefficients, "untwisted_closed", corrupted)
+        code, out, _ = run(capsys, "verify", "--max-n", "4", "--twisted-max-j", "1")
     assert code == 1
     assert "DIVERGENCE" in out
+
+    # each route of each family in turn is off by u - 1 on one cell, and the
+    # divergence line names that cell and shows that route's wrong value
+    def off_on(cell, route):
+        def off(n, j, even):
+            value = route(n, j, even)
+            return value + GWElem(0, 1) if (n, j) == cell else value
+        return off
+
+    for twisted, cell, right in ((False, (6, 3), real(6, 3).value),
+                                 (True, (8, 4), coefficients.twisted_closed(4).value)):
+        table = coefficients.ROUTES[twisted]
+        wrong = gw_display(right + GWElem(0, 1))
+        for name, _ in table:
+            patched = tuple((k, off_on(cell, r) if k == name else r) for k, r in table)
+            with monkeypatch.context() as patch:
+                patch.setitem(coefficients.ROUTES, twisted, patched)
+                code, out, _ = run(capsys, "verify", "--max-n", "6", "--twisted-max-j", "4")
+            assert code == 1, name
+            shown = " ".join(f"{k}={wrong if k == name else gw_display(right)}" for k, _ in table)
+            kind = "twisted" if twisted else "untwisted"
+            line = f"DIVERGENCE at {kind} (n={cell[0]}, j={cell[1]}): {shown} match=False"
+            assert line in out, (name, out)
 
 
 def test_q_flag(capsys):

@@ -207,6 +207,8 @@ def test_verify_checks_raw_binomial_route(monkeypatch):
     bad = report.first_divergence()
     assert not bad.twisted and not bad.match
     assert bad.closed == bad.oracle
+    assert dict(bad.routes)["binomial"] != bad.closed
+    assert "binomial=u" in report.render_text()
 
 
 def test_verify_rejects_jobs_below_one():
@@ -260,15 +262,24 @@ def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
     import gwbinom.coefficients as coefficients
 
     walk = coefficients.even_orbit_counts
+    count = coefficients.count_even_twisted_orbits
 
     def slow_walk(n):
         time.sleep(0.04)
         return walk(n)
 
+    def slow_count(j):
+        time.sleep(0.04)
+        return count(j)
+
     monkeypatch.setattr(coefficients, "even_orbit_counts", slow_walk)
-    row = [c for c in verify(4, 0).cells if c.n == 4]
+    monkeypatch.setattr(coefficients, "count_even_twisted_orbits", slow_count)
+    cells = verify(4, 2).cells
+    row = [c for c in cells if c.n == 4 and not c.twisted]
     assert sum(c.seconds for c in row) >= 0.04
     assert all(c.seconds >= 0.04 * comb(4, c.j) / 16 for c in row)
+    # a twisted cell is a work item of its own and takes its whole count
+    assert all(c.seconds >= 0.04 for c in cells if c.twisted)
 
 
 def test_verify_parallel_matches_serial():

@@ -27,6 +27,7 @@ coefficients.big_binomial = lambda a, b: 1
 report = coefficients.verify(8, 1)
 bad = report.first_divergence()
 print(report.ok, bad.twisted, bad.match)
+print(next(line for line in report.render_text().splitlines() if "DIVERGENCE" in line))
 """
 
 BOGUS_NECKLACE = """
@@ -62,7 +63,10 @@ def test_bogus_twisted_period_raises_under_O():
 def test_wrong_binomial_route_fails_verify_under_O():
     proc = run_optimized("-c", BINOMIAL)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "False"]
+    flags, divergence = proc.stdout.splitlines()
+    assert flags.split() == ["False", "False", "False"]
+    # the line names the failing route without relying on assert
+    assert divergence.startswith("DIVERGENCE at untwisted (n=0, j=0): closed=1 binomial=u oracle=1 ")
 
 
 def test_verify_cli_passes_under_O():
