@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import groupby
 from math import comb
@@ -176,14 +176,17 @@ ROUTES = {
 @dataclass(frozen=True)
 class CellCheck:
     """One cell checked by every route of its family in `ROUTES`, plus the
-    per-cell property checks.  match means all the routes agree; routes
-    holds each route's display in table order for the divergence line, and
-    stays out of the JSON.
+    per-cell property checks.  match means all the routes agree.  The last
+    three fields are for the divergence line and stay out of the JSON:
+    routes holds each route's display in table order, even_orbits the
+    cell's even-orbit count, and correction_parity the closed form's
+    correction parity for the cell's family.
 
     seconds is the wall time of the cell's own checks plus its share of its
-    work item's count: an untwisted row shares one walk among its cells,
-    each taking C(n, j) / 2^n of it, and a twisted cell takes its whole
-    count.  So a work item's cells add up to its count plus their checks."""
+    work item's count: the untwisted cells with n <= max_n share one walk,
+    each taking C(n, j) / (2^(max_n + 1) - 1) of it, and a twisted cell
+    takes its whole count.  So a work item's cells add up to its count plus
+    their checks."""
 
     n: int
     j: int
@@ -196,21 +199,30 @@ class CellCheck:
     vanishing_ok: bool
     seconds: float
     routes: tuple[tuple[str, str], ...]
+    even_orbits: int
+    correction_parity: int
 
     @property
     def ok(self) -> bool:
         return self.match and self.rank_ok and self.symmetry_ok and self.vanishing_ok
 
 
+_JSON_FIELDS = tuple(f.name for f in fields(CellCheck)
+                     if f.name not in ("routes", "even_orbits", "correction_parity"))
+
+
 def _check_item(item: tuple[bool, int]) -> list[CellCheck]:
-    """Check the cells of one work item, (False, n) for untwisted row n or
-    (True, j) for twisted cell j, against one even-orbit count of the item;
-    CellCheck says how the count's time is shared out."""
+    """Check the cells of one work item, (False, max_n) for every untwisted
+    cell with n <= max_n or (True, j) for twisted cell j, against one count
+    of the item: one walk for all the untwisted rows, one count for a
+    twisted cell.  CellCheck says how the count's time is shared out."""
     twisted, k = item
-    cells = [(2 * k, k)] if twisted else [(k, j) for j in range(k + 1)]
+    cells = [(2 * k, k)] if twisted else [(n, j) for n in range(k + 1) for j in range(n + 1)]
     start = time.perf_counter()
-    # the empty necklace (n = 0): a single orbit of odd period one
-    even = [count_even_twisted_orbits(k)] if twisted else even_orbit_counts(k) if k else [0]
+    if twisted:
+        even = [count_even_twisted_orbits(k)]
+    else:
+        even = [e for row in even_orbit_counts(k) for e in row]
     count_s = time.perf_counter() - start
     total = sum(comb(n, j) for n, j in cells)
     return [_check_cell(twisted, n, j, e, count_s * comb(n, j) / total)
@@ -232,6 +244,8 @@ def _check_cell(twisted: bool, n: int, j: int, even: int, share: float) -> CellC
         not vanishes or closed.disc == oracle.disc == SQUARE,
         time.perf_counter() - start + share,
         tuple((name, gw_display(v)) for name, v in values.items()),
+        even,
+        twisted_correction_parity(j) if twisted else correction_parity(n, j),
     )
 
 
@@ -254,7 +268,7 @@ class VerifyReport:
             "max_n": self.max_n,
             "twisted_max_j": self.twisted_max_j,
             "pass": self.ok,
-            "cells": [{k: v for k, v in asdict(c).items() if k != "routes"} for c in self.cells],
+            "cells": [{k: getattr(c, k) for k in _JSON_FIELDS} for c in self.cells],
             "seconds": self.seconds,
         }
 
@@ -289,6 +303,7 @@ class VerifyReport:
                 + " ".join(f"{name}={shown}" for name, shown in bad.routes)
                 + f" match={bad.match} rank_ok={bad.rank_ok}"
                 f" symmetry_ok={bad.symmetry_ok} vanishing_ok={bad.vanishing_ok}"
+                f" even_orbits={bad.even_orbits} correction_parity={bad.correction_parity}"
             )
         lines.append(f"VERIFY {'PASS' if self.ok else 'FAIL'}"
                      f" ({len(self.cells)} cells, {self.seconds:.2f}s)")
@@ -299,8 +314,8 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     """Check every route of `ROUTES` on every untwisted cell with n <= max_n
     and every twisted cell with j <= twisted_max_j.  The largest cell of
     each family is checked against the enumeration budget before any cell
-    runs.  The work items are (False, n) for each untwisted row, one walk
-    over its necklaces that feeds all its cells, and (True, j) for each
+    runs.  The work items are (False, max_n), one walk over the max_n-bead
+    prenecklaces that feeds every untwisted cell, and (True, j) for each
     twisted cell, one count.  One map runs them across min(jobs, CPU count,
     item count) processes (none when that is 1), and the report keeps the
     cell order: untwisted by (n, j), then twisted by j."""
@@ -310,8 +325,7 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     if twisted_max_j:
         check_enumeration(2 * twisted_max_j, twisted_max_j)
     start = time.perf_counter()
-    items = [(False, n) for n in range(max_n + 1)]
-    items += [(True, j) for j in range(1, twisted_max_j + 1)]
+    items = [(False, max_n)] + [(True, j) for j in range(1, twisted_max_j + 1)]
     workers = min(jobs, os.cpu_count() or 1, len(items))
     pool = nullcontext()
     if workers > 1:

@@ -22,12 +22,14 @@ inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
-Orbits come from one enumerator, _necklaces, a necklace generator that
-yields each rotation orbit once, as its least mask and period, in
-ascending mask order with O(n) state.  Given a blue count it is pruned to
-that density; given none it walks the whole row of n-bead necklaces once,
-and even_orbit_counts counts the even-period orbits of every density from
-that one walk.  The twisted orbits are walked by the one orbit walk,
+Orbits come from one enumerator, _necklaces, the FKM necklace generator
+with O(n) state.  Given a blue count it is pruned to that density and
+yields each rotation orbit of the cell once, as its least mask and
+period, in ascending mask order.  Given none it yields every n-bit
+prenecklace, and so meets each Lyndon word of length at most n once;
+even_orbit_counts counts the even-period orbits of every cell of every
+row up to n from that one walk, since each necklace is a power of one
+Lyndon word.  The twisted orbits are walked by the one orbit walk,
 _cycle, from the necklaces' least masks and their one-bead rotations,
 since two twisted steps make a two-bead rotation; counting the even ones
 walks no orbit, since a necklace's period and one rotation by half of it
@@ -36,8 +38,8 @@ met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration
 refuses n beyond the 63-bit encoding and any cell with more than MAX_MASKS
-masks, before any work starts, and a row walk must fit its largest cell,
-(n, n // 2).  Nothing is memoised.
+masks, before any work starts, and a walk to n must fit row n's largest
+cell, (n, n // 2).  Nothing is memoised.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ from .arith import mobius
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
 # masks; enumerate_orbits(24, 12) takes about 1.3 s and 40 MB, and
-# count_even_twisted_orbits(12) about 0.6 s and the row walk
-# even_orbit_counts(24) about 2 s, each in 15 MB of process RSS (Python 3.11).
+# count_even_twisted_orbits(12) about 0.4 s and even_orbit_counts(24), the
+# walk over the 1,465,020 prenecklaces that counts every row up to 24, about
+# 0.8 s, each in 16 MB of process RSS (Python 3.11, 2-vCPU Xeon).
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -261,28 +264,43 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
 
 def _necklaces(n: int, j: int | None = None):
     """Yield (least mask, period) of every rotation orbit of n-bit masks of
-    popcount j, or of every popcount when j is None, ascending by least mask.
+    popcount j, ascending by least mask; or, when j is None, (mask, p) of
+    every n-bit prenecklace, ascending.
 
     Read MSB first, the least mask is the lexicographically least rotation
     of its word, a necklace.  The FKM recursion over {0, 1} grows a[1..n]
     in lex order as a prenecklace with Lyndon prefix length p: bit t copies
     a[t - p] or, where that is 0, is 1 and sets p = t; the word is a
-    necklace of period p when p divides n.  It is pruned by density: the
-    bits left must hold the missing ones, and a necklace with j > 0 ends in
-    a 1, so a proper prefix holds fewer than j ones.  With no j the bounds
-    are 0 and t ones, which never bind, and the loop is the plain FKM walk
-    over the whole row.  The recursion runs as a loop over arrays of length
-    n + 1, so the state is O(n).
+    necklace of period p when p divides n.  A prenecklace is the first n
+    bits of w w w ... for the Lyndon word w of its first p bits, and the
+    walk meets each Lyndon word of length p <= n once, so it meets every
+    necklace of every row k <= n, as a power of one of them.
+
+    Pruned by density, the recursion runs as a loop over arrays of length
+    n + 1: the bits left must hold the missing ones, which forces a 1, and
+    a necklace with j > 0 ends in a 1, so a proper prefix holds fewer than
+    j ones.  Unpruned, it runs as its successor rule: drop the trailing
+    ones of a prenecklace and add one, which gives the next Lyndon word,
+    and repeat that word to n bits.  Either way the state is O(n).
     """
+    if j is None:
+        # w repeated ceil(n / p) times, cut to its top n bits
+        reps = [0] + [((1 << p * -(-n // p)) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
+        cuts = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
+        w, p = 0, 1
+        while True:
+            m = w * reps[p] >> cuts[p]
+            yield m, p
+            tail = (m ^ (m + 1)).bit_length() - 1  # trailing ones
+            if tail == n:
+                return
+            w, p = (m >> tail) + 1, n - tail
     a = [0] * (n + 1)  # a[0] = 0 lets bit 1 be either bit, with p = 1
     per = [1] * (n + 1)  # per[t]: Lyndon-prefix length of a[1..t]
     ones = [0] * (n + 1)  # ones[t]: ones among a[1..t]
     mask = [0] * (n + 1)  # mask[t]: a[1..t] read MSB first
-    # a[1..t] holds lo[t] .. hi[t] ones
-    if j is None:
-        lo, hi = [0] * (n + 1), range(n + 1)
-    else:
-        lo, hi = range(j - n, j + 1), [max(j - 1, 0)] * n + [j]
+    # a[1..t] holds lo[t] .. hi[t] ones; a 1 forced below lo[t] reaches it
+    lo, hi = range(j - n, j + 1), [max(j - 1, 0)] * n + [j]
     t, bump = 1, 0  # bump = 1 when backtracking demands a 1 at t
     while t:
         p, c, m = per[t - 1], ones[t - 1], mask[t - 1]
@@ -290,7 +308,7 @@ def _necklaces(n: int, j: int | None = None):
             x = a[t - p]
             b = x | bump | (c < lo[t])
             c += b
-            if not lo[t] <= c <= hi[t]:
+            if c > hi[t]:
                 break
             if b != x:
                 p = t
@@ -333,17 +351,26 @@ def count_even_orbits(n: int, j: int) -> int:
     return sum(1 for _, period in _necklaces(n, j) if period % 2 == 0)
 
 
-def even_orbit_counts(n: int) -> list[int]:
-    """Number of rotation orbits with even period for each popcount
-    j = 0..n, from one walk over every necklace of the row.  The row's
-    largest cell, (n, n // 2), must fit the enumeration budget."""
+def even_orbit_counts(n: int) -> list[list[int]]:
+    """rows[k][j], the number of rotation orbits of k-bit masks of popcount
+    j with even period, for every k = 0..n, from one walk over the n-bit
+    prenecklaces.  A k-bead necklace of period p is w^(k/p) for the Lyndon
+    word w of its first p bits, and the walk meets each such w once.  Row 0
+    is the empty necklace, one orbit of odd period one.  The largest cell,
+    (n, n // 2), must fit the enumeration budget."""
     _check_cell(n, 0)
     check_enumeration(n, n // 2)
-    counts = [0] * (n + 1)
-    for least, period in _necklaces(n):
-        if period % 2 == 0:
-            counts[least.bit_count()] += 1
-    return counts
+    # even-length Lyndon words by length and popcount
+    words = [[0] * (p + 1) for p in range(n + 1)]
+    for m, p in _necklaces(n):
+        if p % 2 == 0:
+            words[p][(m >> (n - p)).bit_count()] += 1
+    rows = [[0] * (k + 1) for k in range(n + 1)]
+    for p in range(2, n + 1, 2):
+        for ones, count in enumerate(words[p]):
+            for k in range(p, n + 1, p):
+                rows[k][ones * k // p] += count
+    return rows
 
 
 def aperiodic_count(n: int, j: int) -> int:

@@ -263,15 +263,17 @@ def test_verify_divergence_exit_code(capsys, monkeypatch):
     assert "DIVERGENCE" in out
 
     # each route of each family in turn is off by u - 1 on one cell, and the
-    # divergence line names that cell and shows that route's wrong value
+    # divergence line names that cell, shows that route's wrong value and
+    # ends with the cell's even-orbit count and correction parity
     def off_on(cell, route):
         def off(n, j, even):
             value = route(n, j, even)
             return value + GWElem(0, 1) if (n, j) == cell else value
         return off
 
-    for twisted, cell, right in ((False, (6, 3), real(6, 3).value),
-                                 (True, (8, 4), coefficients.twisted_closed(4).value)):
+    for twisted, cell, right, even, parity in (
+            (False, (6, 3), real(6, 3).value, 4, 0),
+            (True, (8, 4), coefficients.twisted_closed(4).value, 9, 1)):
         table = coefficients.ROUTES[twisted]
         wrong = gw_display(right + GWElem(0, 1))
         for name, _ in table:
@@ -283,7 +285,9 @@ def test_verify_divergence_exit_code(capsys, monkeypatch):
             shown = " ".join(f"{k}={wrong if k == name else gw_display(right)}" for k, _ in table)
             kind = "twisted" if twisted else "untwisted"
             line = f"DIVERGENCE at {kind} (n={cell[0]}, j={cell[1]}): {shown} match=False"
-            assert line in out, (name, out)
+            bad = next(row for row in out.splitlines() if row.startswith("DIVERGENCE"))
+            assert bad.startswith(line), (name, out)
+            assert bad.endswith(f" even_orbits={even} correction_parity={parity}"), (name, out)
 
 
 def test_q_flag(capsys):

@@ -250,8 +250,9 @@ def test_verify_clamps_pool_to_cpu_count(monkeypatch):
     assert all(w <= (os.cpu_count() or 1) for w in asked)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     asked.clear()
-    verify(3, 1, jobs=64)
-    verify(1, 0, jobs=64)  # two work items: the rows n = 0 and n = 1
+    verify(3, 3, jobs=64)  # four work items: the untwisted walk, twisted j = 1..3
+    verify(3, 1, jobs=64)  # two work items
+    verify(1, 0, jobs=64)  # one work item, run with no pool
     verify(3, 1, jobs=1)
     assert asked == [4, 2]
 
@@ -275,11 +276,29 @@ def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
     monkeypatch.setattr(coefficients, "even_orbit_counts", slow_walk)
     monkeypatch.setattr(coefficients, "count_even_twisted_orbits", slow_count)
     cells = verify(4, 2).cells
-    row = [c for c in cells if c.n == 4 and not c.twisted]
-    assert sum(c.seconds for c in row) >= 0.04
-    assert all(c.seconds >= 0.04 * comb(4, c.j) / 16 for c in row)
+    # one walk feeds the 2^5 - 1 masks of the untwisted cells with n <= 4
+    untwisted = [c for c in cells if not c.twisted]
+    assert len(untwisted) == 15
+    assert sum(c.seconds for c in untwisted) >= 0.04
+    assert all(c.seconds >= 0.04 * comb(c.n, c.j) / 31 for c in untwisted)
     # a twisted cell is a work item of its own and takes its whole count
     assert all(c.seconds >= 0.04 for c in cells if c.twisted)
+
+
+def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
+    import gwbinom.necklaces as necklaces
+
+    walk = necklaces._necklaces
+    calls = []
+
+    def counted(n, j=None):
+        calls.append((n, j))
+        return walk(n, j)
+
+    monkeypatch.setattr(necklaces, "_necklaces", counted)
+    assert verify(8, 3).ok
+    # one unpruned walk to max_n, and one density-pruned count per twisted j
+    assert calls == [(8, None), (2, 1), (4, 2), (6, 3)]
 
 
 def test_verify_parallel_matches_serial():

@@ -177,13 +177,32 @@ def test_count_even_orbits_examples():
 
 
 def test_row_walk_matches_the_density_pruned_cells():
-    # one unpruned walk over row n against n + 1 walks pruned to one density
-    for n in range(1, 19):
-        assert even_orbit_counts(n) == [count_even_orbits(n, j) for j in range(n + 1)], n
+    # one unpruned walk to n = 18 against a walk pruned to each cell of every
+    # row k <= 18; row 0, the empty necklace, has no even orbit
+    rows = even_orbit_counts(18)
+    assert rows[0] == [0]
+    for k in range(1, 19):
+        assert rows[k] == [count_even_orbits(k, j) for j in range(k + 1)], k
+    assert even_orbit_counts(4) == rows[:5]
     with pytest.raises(EnumerationLimitError, match="budget"):
         even_orbit_counts(25)
     with pytest.raises(ValueError, match="positive n"):
         even_orbit_counts(0)
+
+
+def test_unpruned_walk_meets_each_lyndon_word_once():
+    # a Lyndon word is a word strictly less than each of its proper rotations;
+    # the walk yields it as the first p bits of w w w ... cut to n bits
+    for n in range(1, 13):
+        lyndon = sorted(
+            (word, len(word))
+            for p in range(1, n + 1)
+            for word in map("".join, itertools.product("01", repeat=p))
+            if all(word < word[i:] + word[:i] for i in range(1, p))
+        )
+        walk = [(f"{m:0{n}b}", p) for m, p in _necklaces(n)]
+        assert [(word[:p], p) for word, p in walk] == lyndon, n
+        assert all(word == (word[:p] * n)[:n] for word, p in walk), n
 
 
 def test_odd_bead_count_has_no_even_orbits():
@@ -664,13 +683,14 @@ def test_twisted_length_equals_the_walk():
 
 
 def test_half_period_twisted_length_on_the_row_walk():
-    # the balanced least masks and periods of the unpruned row walk: the
-    # half-period test must agree with the orbit walk there too
+    # the balanced necklaces among the unpruned walk's prenecklaces, those
+    # whose period divides n: the half-period test must agree with the
+    # orbit walk there too
     for j in range(1, 10):
         n = 2 * j
         step = _twisted_step(n)
-        balanced = [(m, p) for m, p in _necklaces(n) if m.bit_count() == j]
-        assert len(balanced) == len(enumerate_orbits(n, j))
+        balanced = [(m, p) for m, p in _necklaces(n) if n % p == 0 and m.bit_count() == j]
+        assert balanced == list(_necklaces(n, j))
         for least, period in balanced:
             assert _twisted_length(least, n, period) == len(_cycle(least, step)), (j, least)
 
