@@ -3,11 +3,15 @@
 Subcommands: coeff, triangle, twisted, necklaces, verify; text, JSON, and
 CSV output where it makes sense.  Each subcommand computes its data and
 exit code, then makes one call to the single renderer, ``_emit``, which
-builds only the requested format (JSON by ``_dumps``, as ``json.dumps``
-with indent=2).  Exit codes: 0 success / full agreement, 1 closed-vs-oracle
-divergence, 2 usage or enumeration-limit errors, 141 when the reader closes
-stdout early (as under SIGPIPE).  The base field never enters the numbers,
-so --q only checks that the field order is an odd prime power.
+builds only the requested format and is the one writer of stdout.  JSON
+is streamed: ``_chunks`` cuts the bytes of ``json.dumps`` with indent=2
+into pieces the size of a row or of a run of flat dicts, each run one
+C-encoder call, and ``_emit`` hands them to ``writelines``, so no string
+of the whole document is ever held.  Exit codes: 0 success / full
+agreement, 1 closed-vs-oracle divergence, 2 usage or enumeration-limit
+errors, 141 when the reader closes stdout early (as under SIGPIPE).  The
+base field never enters the numbers, so --q only checks that the field
+order is an odd prime power.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 
@@ -87,40 +91,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, on plain dicts (str keys),
-    lists, tuples and scalars.  A container holding no non-empty container is one
-    C-encoder call; its item separator adds every newline, as strings escape theirs."""
+def _chunks(obj):
+    """Pieces whose concatenation is json.dumps(obj, indent=2), byte for byte,
+    on plain dicts (str keys), lists, tuples and scalars.  A container holding
+    no non-empty container is one C-encoder call; its item separator adds
+    every newline, as strings escape theirs.  Inside a list, each maximal run
+    of non-empty such dicts is one call at the dicts' indent, whose
+    "}" + separator + "{" seams are re-broken onto their own lines: escaped
+    strings hold no newline, so only the seam between two dicts matches.
+    A dict streams its members; a list yields one piece per item or run, so
+    a piece is a row or a run of the document, never a single token."""
     if c_make_encoder is None:  # an interpreter without CPython's _json
-        return json.dumps(obj, indent=2)
+        yield json.dumps(obj, indent=2)
+        return
     encoders = {}
 
-    def encode(o, outer: str) -> str:  # outer: a comma, a newline and o's indent
-        sep = outer + "  "
-        enc = encoders.get(sep) or encoders.setdefault(sep, c_make_encoder(
+    def enc(o, sep: str) -> str:  # o by the C encoder, items separated by sep
+        e = encoders.get(sep) or encoders.setdefault(sep, c_make_encoder(
             None, None, encode_basestring_ascii, None, ": ", sep, False, False, True))
+        return "".join(e(o, 0))
+
+    def flat(items) -> bool:
+        return {dict, list, tuple}.isdisjoint(map(type, filter(None, items)))
+
+    def run_key(v) -> bool:  # a non-empty dict of scalars and empty containers
+        return type(v) is dict and bool(v) and flat(v.values())
+
+    def chunks(o, outer: str, head: str):
+        # outer: a comma, a newline and o's indent; head leads the first piece
+        sep = outer + "  "
         is_dict = isinstance(o, dict)
         items = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
-        if not items:  # a scalar, [] or {}
-            return "".join(enc(o, 0))
-        if {dict, list, tuple}.isdisjoint(map(type, filter(None, items))):
-            body = "".join(enc(o, 0))[1:-1]
-        elif is_dict:
-            body = sep.join(f"{encode_basestring_ascii(k)}: {encode(o[k], sep)}" for k in o)
-        else:
-            body = sep.join(encode(v, sep) for v in o)
         left, right = "{}" if is_dict else "[]"
-        return f"{left}{sep[1:]}{body}{outer[1:]}{right}"
+        if not items:  # a scalar, [] or {}
+            yield head + enc(o, sep)
+            return
+        if flat(items):
+            yield f"{head}{left}{sep[1:]}{enc(o, sep)[1:-1]}{outer[1:]}{right}"
+            return
+        head += left + sep[1:]
+        if is_dict:
+            for k in o:
+                yield from chunks(o[k], sep, f"{head}{encode_basestring_ascii(k)}: ")
+                head = sep
+        else:
+            inner = sep + "  "
+            seam = f"{sep[1:]}}}{sep}{{{inner[1:]}"
+            for is_run, group in groupby(o, run_key):
+                if is_run:
+                    body = enc(list(group), inner)[2:-2].replace("}" + inner + "{", seam)
+                    pieces = [f"{{{inner[1:]}{body}{sep[1:]}}}"]
+                else:
+                    pieces = ("".join(chunks(v, sep, "")) for v in group)
+                for piece in pieces:
+                    yield head + piece
+                    head = sep
+        yield outer[1:] + right
 
-    return encode(obj, ",\n")
+    yield from chunks(obj, ",\n", "")
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), as the join of _chunks(obj)."""
+    return "".join(_chunks(obj))
 
 
 def _emit(fmt: str, obj, header, rows, lines) -> None:
     """Print only the requested format: JSON of the zero-argument callable obj
-    by _dumps (the bytes of json.dumps with indent=2), CSV from header and the
-    iterable rows, text from the iterable lines."""
+    (the bytes of json.dumps with indent=2) as the pieces of _chunks, written
+    by writelines, so no string of the whole document is held; CSV from
+    header and the iterable rows; text from the iterable lines.  This is the
+    one writer of stdout."""
     if fmt == "json":
-        print(_dumps(obj()))
+        sys.stdout.writelines(_chunks(obj()))
+        print()
     elif fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)

@@ -5,10 +5,11 @@ top; positions run counterclockwise.  Bead sets are stored as bitmasks
 (bit p set = bead p blue), so rotation is a word rotate and the encoding
 caps n at the word width of 63 beads.  Only the mask primitives (the
 rotations, the orbit steps and the necklace generator) and the word form,
-Necklace.bitstring and its inverse _from_word, rely on that layout; every
-other relabelling of beads (the flip, the interleave halves, cutting out
-or splicing in axis beads, and the run lengths in the partitions module)
-is a slice or splice of the word.  On top of the three generators
+_word (behind Necklace.bitstring) and its inverse _from_word, rely on
+that layout; every other relabelling of beads (the flip, the interleave
+halves, cutting out or splicing in axis beads, and the run lengths in the
+partitions module) is a slice or splice of the word.  On top of the
+three generators
 
   * rotate(l, k)     -- positions shift by k mod n,
   * flip(l)          -- reflection through the top bead, p -> (n - p) mod n,
@@ -111,7 +112,12 @@ class Necklace:
 
     def bitstring(self) -> str:
         """Position 0 leftmost, '1' for blue."""
-        return f"{self.blues:0{self.size}b}"[::-1]
+        return _word(self.blues, self.size)
+
+
+def _word(mask: int, n: int) -> str:
+    """The bitstring of the n-bead necklace with blue-bead mask mask."""
+    return f"{mask:0{n}b}"[::-1]
 
 
 def _from_word(word: str) -> Necklace:
@@ -234,11 +240,15 @@ def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex
     return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in reps)
 
 
+def _flip_fixed(word: str) -> bool:
+    """Whether the flip preserves the rotation orbit of word: the flip
+    reverses the word, and the orbit holds it when it is a rotation."""
+    return word[::-1] in word + word
+
+
 def _rotation_record(n: int, least: int, period: int) -> OrbitRecord:
     canon = Necklace(n, least)
-    word = canon.bitstring()
-    # the flip reverses the word; the orbit holds it when it is a rotation
-    flip_fixed = word[::-1] in word + word
+    flip_fixed = _flip_fixed(canon.bitstring())
     axes = _axis_classes(canon, period, flip(canon).blues) if flip_fixed else ()
     return OrbitRecord(canon, period, flip_fixed, axes)
 
@@ -432,9 +442,15 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     return _classify_flip_fixed(n, enumerate_orbits(n, j))
 
 
-def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
+def _check_even(n: int) -> None:
     if n % 2:
         raise ValueError(f"even n required, got {n}")
+
+
+def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
+    """The counts of classify_flip_fixed from records that hold every
+    flip-fixed orbit of the cell; the other records are skipped."""
+    _check_even(n)
     t1 = t2 = odd = 0
     for rec in records:
         if not rec.flip_fixed:
@@ -636,21 +652,31 @@ def count_even_twisted_swap_fixed(j: int) -> int:
 
 
 def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
-    """JSON-ready catalog of the rotation orbits of (n, j) necklaces."""
-    records = enumerate_orbits(n, j)
-    out = {
-        "n": n,
-        "j": j,
-        "orbits": [
-            {
-                "canonical": rec.canonical.bitstring(),
-                "period": rec.period,
-                "flip_fixed": rec.flip_fixed,
-                "axes": [{"m": a.m, "type": a.axis_type} for a in rec.axes],
-            }
-            for rec in records
-        ],
-    }
+    """JSON-ready catalog of the rotation orbits of (n, j) necklaces, with
+    classify_flip_fixed's counts under "classification" when classify.
+
+    Each orbit's dict is built straight from the (least mask, period) pairs
+    of _necklaces: its word is formatted once and tested once for a flip.
+    Only the flip-fixed orbits, which need their axes and feed the
+    classification, become OrbitRecords; most orbits are not flip-fixed
+    (252 of 32,066 at (22, 11)).  With classify, an odd n is refused before
+    any enumeration."""
+    _check_cell(n, j)
+    check_enumeration(n, j)
     if classify:
-        out["classification"] = asdict(_classify_flip_fixed(n, records))
+        _check_even(n)
+    orbits, fixed = [], []
+    for least, period in _necklaces(n, j):
+        word = _word(least, n)
+        flip_fixed = _flip_fixed(word)
+        axes = []
+        if flip_fixed:
+            rec = _rotation_record(n, least, period)
+            fixed.append(rec)
+            axes = [{"m": a.m, "type": a.axis_type} for a in rec.axes]
+        orbits.append({"canonical": word, "period": period, "flip_fixed": flip_fixed,
+                       "axes": axes})
+    out = {"n": n, "j": j, "orbits": orbits}
+    if classify:
+        out["classification"] = asdict(_classify_flip_fixed(n, fixed))
     return out

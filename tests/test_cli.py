@@ -89,29 +89,45 @@ def test_triangle_json_roundtrip(capsys):
     assert json.loads(out) == triangle_to_json(triangle(7))
 
 
-_TEXT = st.text(st.sampled_from('az"\\{}[]:, \n\t\x00\x1f\x7fé€\u2028😀') | st.characters(),
-                max_size=6)
+# strings that look like the seam between two dicts of a run once encoded
+_SEAMS = st.sampled_from(["}", "{", '",', "\n", "},\n  {", '"},\n    {"', "}\n{"])
+_TEXT = (st.text(st.sampled_from('az"\\{}[]:, \n\t\x00\x1f\x7fé€\u2028😀') | st.characters(),
+                 max_size=6)
+         | st.builds(str.__add__, st.text("a{}", max_size=2), _SEAMS))
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
             | st.floats() | st.sampled_from([1e16, 1e300, 5e-324, -0.0, 1.5e-7]) | _TEXT)
+# a run: two or more non-empty dicts of scalars and empty containers
+_RUN = st.lists(st.dictionaries(_TEXT, _SCALARS | st.sampled_from([[], {}, ()]),
+                                min_size=1, max_size=3), min_size=2, max_size=3)
+
+
+def _segments(kids):
+    # a list of runs, each next to empty dicts, nested trees and scalars
+    segment = _RUN | st.lists(kids | st.just({}), max_size=2)
+    return st.lists(segment, max_size=4).map(lambda segments: sum(segments, []))
+
+
 _TREES = st.recursive(
     _SCALARS,
-    lambda kids: (st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4)
-                  | st.tuples(kids, kids)),
+    lambda kids: (st.lists(kids, max_size=4) | _segments(kids)
+                  | st.dictionaries(_TEXT, kids, max_size=4) | st.tuples(kids, kids)),
     max_leaves=30,
 )
 
 
-def _nest(tree, depth: int):
+def _nest(tree, depth: int, run: list):
+    # each list level holds a run after the tree, so runs sit at every indent
     for level in range(depth):
-        tree = [tree] if level % 2 else {"k": tree}
+        tree = [tree, *run] if level % 2 else {"k": tree}
     return tree
 
 
 @pytest.mark.parametrize("c_encoder", [cli.c_make_encoder, None], ids=["c", "fallback"])
-@given(st.builds(_nest, _TREES, st.integers(0, 40)))
+@given(st.builds(_nest, _TREES, st.integers(0, 40), _RUN | st.just([])))
 def test_dumps_is_indent_2_json(c_encoder, tree):
     # floats take exponent forms, nan and inf; strings carry quotes, braces,
-    # newlines, control and non-ASCII characters; containers nest and are empty
+    # newlines, control and non-ASCII characters, and the seams of a run;
+    # containers nest and are empty; lists hold runs of flat dicts
     with mock.patch.object(cli, "c_make_encoder", c_encoder):
         assert cli._dumps(tree) == json.dumps(tree, indent=2)
 
@@ -160,6 +176,16 @@ def test_necklaces_classify(capsys):
 def test_necklaces_classify_odd_n_is_usage_error(capsys):
     code, _, err = run(capsys, "necklaces", "--n", "5", "--j", "2", "--classify")
     assert code == 2 and "error" in err
+
+
+def test_necklaces_classify_odd_n_fails_before_enumerating(capsys, monkeypatch):
+    # C(23, 11) = 1,352,078 masks fit the budget; the odd n alone is refused
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    code, out, err = run(capsys, "necklaces", "--n", "23", "--j", "11", "--classify")
+    assert (code, out, err) == (2, "", "error: even n required, got 23\n")
 
 
 def test_necklaces_text(capsys):

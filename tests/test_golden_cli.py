@@ -63,6 +63,13 @@ DIVERGENT_SHA256 = "89b3942b15cfa76bc6deb6ec6234290a7c6ab525f3de0ef87f32bcb03e03
 # benchmark's bench/workloads.py, pinned when the benchmark was introduced
 TRIANGLE_300_SHA256 = "fb1799fa0cb13323fe6b53d8c66ffa48de211c95a5377235d11a4056f1967e7e"
 
+# sha256 of `necklaces --n 22 --j 11 --classify --format json`: CATALOG_SHA256
+# in the benchmark's bench/workloads.py, pinned when the benchmark was introduced
+CATALOG_22_SHA256 = "b7ce49a837a6c3d63635c685ef395696f9e1672a5dcbd9f091b6b511032a535e"
+
+# the largest row of the 300-row triangle is about 74 KB of JSON
+MAX_WRITE = 2**20
+
 _TIMING = re.compile(r"\d+(?:\.\d+)?e-\d+|\d+\.\d+s?")
 
 
@@ -112,8 +119,33 @@ def test_cli_divergence_transcript_digest(monkeypatch):
     assert hashlib.sha256(_transcript(cases).encode()).hexdigest() == DIVERGENT_SHA256
 
 
-def test_full_size_triangle_json_digest():
-    out = io.StringIO()
+class _Writes(io.StringIO):
+    """A stdout that records the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def _streamed_digest(argv) -> str:
+    """sha256 of main(argv)'s stdout, which must exit 0 and come in writes
+    of at most MAX_WRITE characters: no whole document is held as one string."""
+    out = _Writes()
     with contextlib.redirect_stdout(out):
-        assert main(["triangle", "--rows", "300", "--format", "json"]) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TRIANGLE_300_SHA256
+        assert main(argv) == 0
+    assert len(out.sizes) > 1 and max(out.sizes) <= MAX_WRITE
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_full_size_triangle_json_digest():
+    argv = ["triangle", "--rows", "300", "--format", "json"]
+    assert _streamed_digest(argv) == TRIANGLE_300_SHA256
+
+
+def test_catalog_22_json_digest():
+    argv = ["necklaces", "--n", "22", "--j", "11", "--classify", "--format", "json"]
+    assert _streamed_digest(argv) == CATALOG_22_SHA256

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 from math import comb, gcd
 
@@ -849,6 +850,22 @@ def test_orbit_catalog_schema():
     for orbit in cat["orbits"]:
         for axis in orbit["axes"]:
             assert set(axis) == {"m", "type"}
+
+
+def test_orbit_catalog_matches_the_records_path():
+    # the catalog builds its dicts from the generator; the records path
+    # builds an OrbitRecord per orbit, and the two must not drift apart
+    for n in range(1, 15):
+        for j in range(n + 1):
+            classify = n % 2 == 0
+            want = {"n": n, "j": j, "orbits": [
+                {"canonical": rec.canonical.bitstring(), "period": rec.period,
+                 "flip_fixed": rec.flip_fixed,
+                 "axes": [{"m": a.m, "type": a.axis_type} for a in rec.axes]}
+                for rec in enumerate_orbits(n, j)]}
+            if classify:
+                want["classification"] = asdict(classify_flip_fixed(n, j))
+            assert orbit_catalog(n, j, classify=classify) == want
 
 
 def test_orbit_catalog_classification():

@@ -38,6 +38,42 @@ def test_bead_layout_stays_in_necklaces():
     assert _hits(BEAD_LAYOUT, exempt={"necklaces.py"}) == []
 
 
+def _stdout_writes(tree):
+    """(enclosing function, line) of each print( not given file=sys.stderr,
+    and of each sys.stdout.write or sys.stdout.writelines."""
+    hits = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "print" \
+                and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                            for k in node.keywords):
+            hits.append((func, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in ("write", "writelines") \
+                and ast.unparse(node.value) == "sys.stdout":
+            hits.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return hits
+
+
+def test_only_emit_writes_stdout():
+    # one renderer: JSON streams in pieces only if nothing else writes
+    # stdout between them
+    stray = [f"{path.name}:{line} in {func}"
+             for path in sorted(SRC.glob("*.py"))
+             for func, line in _stdout_writes(ast.parse(path.read_text()))
+             if (path.name, func) != ("cli.py", "_emit")]
+    assert stray == []
+    assert _stdout_writes(ast.parse("def f():\n    print(1, file=sys.stdout)\n"
+                                    "sys.stdout.write('x')\nprint(2, file=sys.stderr)\n")) \
+        == [("f", 2), (None, 3)]
+
+
 def test_package_init_is_only_its_docstring():
     # each name is imported from the module that defines it, by one path
     tree = ast.parse((SRC / "__init__.py").read_text())
