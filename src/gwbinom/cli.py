@@ -99,8 +99,9 @@ def _chunks(obj):
     of non-empty such dicts is one call at the dicts' indent, whose
     "}" + separator + "{" seams are re-broken onto their own lines: escaped
     strings hold no newline, so only the seam between two dicts matches.
-    A dict streams its members; a list yields one piece per item or run, so
-    a piece is a row or a run of the document, never a single token."""
+    A dict streams its members and a list yields one piece per item or run,
+    so the pieces are members, rows, runs and closing brackets, not one per
+    token."""
     if c_make_encoder is None:  # an interpreter without CPython's _json
         yield json.dumps(obj, indent=2)
         return
