@@ -6,6 +6,10 @@ class C(n, j) - (1 - u) * C((n-2)/2, (j-1)/2), fractional binomials
 vanishing; since 2(1 - u) = 0 only the parity of the correction matters,
 and by Lucas that parity is 1 exactly when (j-1)/2 digit-dominates into
 (n-2)/2.  `verify` checks every cell by each route of its family in `ROUTES`.
+The triangle walks each row's ranks with the exact integer step from
+C(n, j) to C(n, j + 1) instead of a fresh binomial per cell, over the half
+row only, and mirrors it; untwisted_closed and the walk share the one
+definition of the class given a rank, _closed_value.
 
 The independent oracle evaluates the same class as
 C(n, j) + (u - 1) * (number of even-period rotation orbits of (n, j)
@@ -35,7 +39,7 @@ from .necklaces import (
     even_orbit_counts,
 )
 
-MAX_ROWS = 1000  # rows^2 work and memory; 1000 rows as JSON: about 14 s, 0.33 GB (Python 3.11.7)
+MAX_ROWS = 1000  # rows^2 work and memory; 1000 rows as JSON: about 6.5 s, 0.30 GB (Python 3.11.7)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +83,14 @@ def untwisted_closed(n: int, j: int) -> EnrichedCoefficient:
         raise ValueError(f"non-negative n required, got {n}")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    return EnrichedCoefficient(n, j, False, _closed_value(n, j, comb(n, j)), "closed")
+
+
+def _closed_value(n: int, j: int, rank: int) -> GWElem:
+    """The closed form's class of cell (n, j) given its rank C(n, j): the one
+    definition behind both untwisted_closed and the triangle's row walk."""
     d = correction_parity(n, j)
-    return EnrichedCoefficient(n, j, False, gw_from_coeffs(comb(n, j) - d, d), "closed")
+    return gw_from_coeffs(rank - d, d)
 
 
 def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
@@ -136,12 +146,28 @@ def twisted_oracle(j: int) -> EnrichedCoefficient:
 
 def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
     """Rows 0 .. rows-1 of the enriched triangle, via the closed form;
-    at most MAX_ROWS rows."""
+    at most MAX_ROWS rows.
+
+    Each row walks its half j <= n // 2 with the exact integer step
+    C(n, j + 1) = C(n, j) * (n - j) // (j + 1), so no cell computes a fresh
+    binomial, and mirrors it: cell (n, n - j) has the class of cell (n, j).
+    The rank is symmetric, and so is the correction parity: for even n and
+    odd j, (j-1)/2 and (n-j-1)/2 add up to (n-2)/2, so one digit-dominates
+    into it exactly when the other does.  The mirrored cells share the half
+    row's GWElems."""
     if rows < 1:
         raise ValueError(f"positive row count required, got {rows}")
     if rows > MAX_ROWS:
         raise ValueError(f"{rows} rows exceed the triangle budget of {MAX_ROWS} (MAX_ROWS)")
-    return [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(rows)]
+    table = []
+    for n in range(rows):
+        values, rank = [], 1
+        for j in range(n // 2 + 1):
+            values.append(_closed_value(n, j, rank))
+            rank = rank * (n - j) // (j + 1)
+        values += values[:(n + 1) // 2][::-1]
+        table.append([EnrichedCoefficient(n, j, False, v, "closed") for j, v in enumerate(values)])
+    return table
 
 
 def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:

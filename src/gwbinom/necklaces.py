@@ -396,9 +396,20 @@ def aperiodic_count(n: int, j: int) -> int:
     return q
 
 
+def _cell_orbits(n: int, j: int):
+    """Yield (word, period, record) for each rotation orbit of a checked
+    (n, j) cell, ascending: one word and one flip test per orbit, and an
+    OrbitRecord, for its axes, only when the orbit is flip-fixed, else None."""
+    for least, period in _necklaces(n, j):
+        word = _word(least, n)
+        yield word, period, _rotation_record(n, least, period) if _flip_fixed(word) else None
+
+
 def odd_flip_fixed_count(n: int, j: int) -> int:
     """Number of flip-fixed orbits of odd period, by enumeration."""
-    return sum(1 for rec in enumerate_orbits(n, j) if rec.flip_fixed and rec.period % 2)
+    _check_cell(n, j)
+    check_enumeration(n, j)
+    return sum(rec.period % 2 for _, _, rec in _cell_orbits(n, j) if rec)
 
 
 def odd_flip_fixed_closed_form(n: int, j: int) -> int:
@@ -439,7 +450,9 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     axis classes all share one type); odd-period flip-fixed orbits carry
     one axis of each type.  Defined for even n only.
     """
-    return _classify_flip_fixed(n, enumerate_orbits(n, j))
+    _check_cell(n, j)
+    check_enumeration(n, j)
+    return _classify_flip_fixed(n, (rec for _, _, rec in _cell_orbits(n, j) if rec))
 
 
 def _check_even(n: int) -> None:
@@ -448,13 +461,11 @@ def _check_even(n: int) -> None:
 
 
 def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
-    """The counts of classify_flip_fixed from records that hold every
-    flip-fixed orbit of the cell; the other records are skipped."""
+    """The counts of classify_flip_fixed from the records of the cell's
+    flip-fixed orbits; n is checked before the first record is drawn."""
     _check_even(n)
     t1 = t2 = odd = 0
     for rec in records:
-        if not rec.flip_fixed:
-            continue
         types = {a.axis_type for a in rec.axes}
         if rec.period % 2:
             if types != {TYPE1, TYPE2}:
@@ -655,26 +666,21 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     """JSON-ready catalog of the rotation orbits of (n, j) necklaces, with
     classify_flip_fixed's counts under "classification" when classify.
 
-    Each orbit's dict is built straight from the (least mask, period) pairs
-    of _necklaces: its word is formatted once and tested once for a flip.
-    Only the flip-fixed orbits, which need their axes and feed the
-    classification, become OrbitRecords; most orbits are not flip-fixed
-    (252 of 32,066 at (22, 11)).  With classify, an odd n is refused before
-    any enumeration."""
+    Each orbit's dict is built from _cell_orbits, which makes OrbitRecords
+    only of the flip-fixed orbits, the ones that need their axes and feed
+    the classification; most orbits are not flip-fixed (252 of 32,066 at
+    (22, 11)).  With classify, an odd n is refused before any enumeration."""
     _check_cell(n, j)
     check_enumeration(n, j)
     if classify:
         _check_even(n)
     orbits, fixed = [], []
-    for least, period in _necklaces(n, j):
-        word = _word(least, n)
-        flip_fixed = _flip_fixed(word)
+    for word, period, rec in _cell_orbits(n, j):
         axes = []
-        if flip_fixed:
-            rec = _rotation_record(n, least, period)
+        if rec is not None:
             fixed.append(rec)
             axes = [{"m": a.m, "type": a.axis_type} for a in rec.axes]
-        orbits.append({"canonical": word, "period": period, "flip_fixed": flip_fixed,
+        orbits.append({"canonical": word, "period": period, "flip_fixed": rec is not None,
                        "axes": axes})
     out = {"n": n, "j": j, "orbits": orbits}
     if classify:

@@ -119,9 +119,54 @@ def test_triangle_shape_and_rows():
 
 
 def test_triangle_symmetry():
-    for row in triangle(17):
-        values = [c.value for c in row]
-        assert values == values[::-1]
+    # the triangle mirrors each half row, so the symmetry it relies on is
+    # checked on the closed form cell by cell, with a fresh binomial each
+    for n in range(65):
+        for j in range(n + 1):
+            assert untwisted_closed(n, j).value == untwisted_closed(n, n - j).value, (n, j)
+
+
+def test_triangle_row_walk_matches_fresh_binomials():
+    # every cell of the walked and mirrored rows against untwisted_closed,
+    # which takes math.comb(n, j) afresh; rows 0..2 are the mirror's edges
+    table = triangle(160)
+    assert [len(row) for row in table] == list(range(1, 161))
+    for n, row in enumerate(table):
+        assert row == [untwisted_closed(n, j) for j in range(n + 1)], n
+    for rows in (1, 2, 3):
+        assert triangle(rows) == [[untwisted_closed(n, j) for j in range(n + 1)]
+                                  for n in range(rows)]
+    assert [[c.display for c in row] for row in triangle(3)] == [["1"], ["1", "1"],
+                                                                 ["1", "1+u", "1"]]
+
+
+def test_triangle_and_closed_form_share_one_definition(monkeypatch):
+    import gwbinom.coefficients as coefficients
+
+    before = triangle(40)
+    # a wrong rule, symmetric in j <-> n - j as the mirror needs: the
+    # correction on every odd j of an even row, digit dominance or not
+    monkeypatch.setattr(coefficients, "correction_parity", lambda n, j: int(n % 2 == 0 and j % 2))
+    after = triangle(40)
+    closed = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(40)]
+    assert after == closed
+    changed = {(c.n, c.j) for row, old in zip(after, before) for c, o in zip(row, old) if c != o}
+    assert changed == {(n, j) for n in range(0, 40, 2) for j in range(1, n, 2)
+                       if not correction_parity(n, j)}
+    assert (6, 3) in changed
+
+    calls = []
+    real_comb = coefficients.comb
+
+    def counted(n, k):
+        calls.append((n, k))
+        return real_comb(n, k)
+
+    monkeypatch.setattr(coefficients, "comb", counted)
+    triangle(50)
+    assert calls == []
+    untwisted_closed(5, 2)
+    assert calls == [(5, 2)]
 
 
 def test_closed_equals_oracle_small():

@@ -864,8 +864,48 @@ def test_orbit_catalog_matches_the_records_path():
                  "axes": [{"m": a.m, "type": a.axis_type} for a in rec.axes]}
                 for rec in enumerate_orbits(n, j)]}
             if classify:
-                want["classification"] = asdict(classify_flip_fixed(n, j))
+                want["classification"] = _records_classification(enumerate_orbits(n, j))
             assert orbit_catalog(n, j, classify=classify) == want
+
+
+def _records_classification(records):
+    """classify_flip_fixed's counts from a record per orbit, every one."""
+    fixed = [rec for rec in records if rec.flip_fixed]
+    even = [rec.axes[0].axis_type for rec in fixed if rec.period % 2 == 0]
+    return {"type1_even": even.count(TYPE1), "type2_even": even.count(TYPE2),
+            "odd_fixed": len(fixed) - len(even)}
+
+
+def test_flip_fixed_counts_build_records_only_for_flip_fixed_orbits(monkeypatch):
+    import gwbinom.necklaces as necklaces
+
+    for n in range(1, 15):
+        for j in range(n + 1):
+            records = enumerate_orbits(n, j)
+            want = _records_classification(records)
+            assert odd_flip_fixed_count(n, j) == want["odd_fixed"], (n, j)
+            if n % 2 == 0:
+                assert asdict(classify_flip_fixed(n, j)) == want, (n, j)
+
+    # 20 of the 80 orbits of (12, 6) are flip-fixed, and only they get records
+    fixed = [rec.canonical.blues for rec in enumerate_orbits(12, 6) if rec.flip_fixed]
+    assert len(fixed) == 20
+    built = []
+    real = necklaces._rotation_record
+    monkeypatch.setattr(necklaces, "_rotation_record",
+                        lambda n, least, period: built.append(least) or real(n, least, period))
+    for count in (classify_flip_fixed, odd_flip_fixed_count):
+        built.clear()
+        count(12, 6)
+        assert built == fixed, count
+
+    # an odd n is refused before the generator is walked
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(necklaces, "_necklaces", no_enumeration)
+    with pytest.raises(ValueError, match="even n required, got 23"):
+        classify_flip_fixed(23, 11)
 
 
 def test_orbit_catalog_classification():
