@@ -39,7 +39,7 @@ from .necklaces import (
     even_orbit_counts,
 )
 
-MAX_ROWS = 1000  # rows^2 work and memory; 1000 rows as JSON: about 6.5 s, 0.30 GB (Python 3.11.7)
+MAX_ROWS = 1000  # rows^2 work and memory; 1000 rows as JSON: about 5-7 s, 0.30 GB (Python 3.11.7)
 
 
 @dataclass(frozen=True, slots=True)

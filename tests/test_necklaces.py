@@ -869,7 +869,7 @@ def test_orbit_catalog_matches_the_records_path():
 
 
 def _records_classification(records):
-    """classify_flip_fixed's counts from a record per orbit, every one."""
+    """classify_flip_fixed's counts, taken from a record of every orbit."""
     fixed = [rec for rec in records if rec.flip_fixed]
     even = [rec.axes[0].axis_type for rec in fixed if rec.period % 2 == 0]
     return {"type1_even": even.count(TYPE1), "type2_even": even.count(TYPE2),
