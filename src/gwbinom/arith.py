@@ -4,8 +4,8 @@ Everything here is big-integer or exact-rational arithmetic: binomial
 coefficients with a vanishing convention for fractional arguments, the
 Moebius function, p-adic valuations and digit expansions, Lucas residues,
 Kummer valuations, and the binary digit-dominance partial order.  Floats
-are rejected outright; parities and 2-adic valuations carry all the
-content downstream, so nothing here may round.
+and bools are rejected with TypeError; parities and 2-adic valuations carry
+all the content downstream, so nothing here may round.
 """
 
 from __future__ import annotations
@@ -13,6 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
+
+
+def _require_int(*xs) -> None:
+    """Raise TypeError unless every x is an int, and not a bool."""
+    for x in xs:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"int required, got {x!r}")
 
 
 def _as_integer(x) -> int | None:
@@ -52,6 +59,7 @@ def _smallest_factor(m: int) -> int:
 def mobius(m: int) -> int:
     """Moebius function by trial division: 1, 0 on a squared prime factor,
     else (-1)^(number of prime factors)."""
+    _require_int(m)
     if m < 1:
         raise ValueError(f"mobius is defined on positive integers, got {m}")
     count = 0
@@ -65,6 +73,7 @@ def mobius(m: int) -> int:
 
 
 def _require_prime(p: int) -> None:
+    _require_int(p)
     if p < 2:
         raise ValueError(f"prime required, got {p}")
     d = _smallest_factor(p)
@@ -75,6 +84,7 @@ def _require_prime(p: int) -> None:
 def valuation(p: int, x: int) -> int:
     """Largest e with p^e dividing x; defined only for x >= 1."""
     _require_prime(p)
+    _require_int(x)
     if x < 1:
         raise ValueError(f"valuation is defined on positive integers, got {x}")
     e = 0
@@ -87,6 +97,7 @@ def valuation(p: int, x: int) -> int:
 def _digits(p: int, x: int) -> list[int]:
     """Base-p digits of x >= 0, least significant first; [] for zero."""
     _require_prime(p)
+    _require_int(x)
     if x < 0:
         raise ValueError(f"non-negative integer required, got {x}")
     ds = []

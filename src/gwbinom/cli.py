@@ -152,11 +152,6 @@ def _chunks(obj):
     yield from chunks(obj, ",\n", "")
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2), as the join of _chunks(obj)."""
-    return "".join(_chunks(obj))
-
-
 def _emit(fmt: str, obj, header, rows, lines) -> None:
     """Print only the requested format: JSON of the zero-argument callable obj
     (the bytes of json.dumps with indent=2) as the pieces of _chunks, written

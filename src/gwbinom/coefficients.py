@@ -8,8 +8,9 @@ and by Lucas that parity is 1 exactly when (j-1)/2 digit-dominates into
 (n-2)/2.  `verify` checks every cell by each route of its family in `ROUTES`.
 The triangle walks each row's ranks with the exact integer step from
 C(n, j) to C(n, j + 1) instead of a fresh binomial per cell, over the half
-row only, and mirrors it; untwisted_closed and the walk share the one
-definition of the class given a rank, _closed_value.
+row only, and mirrors it.  Every class here, closed or oracle, untwisted or
+twisted, is built by the one constructor _corrected from a rank and a
+correction.
 
 The independent oracle evaluates the same class as
 C(n, j) + (u - 1) * (number of even-period rotation orbits of (n, j)
@@ -75,38 +76,34 @@ def correction_parity(n: int, j: int) -> int:
     return 1 if n % 2 == 0 and j % 2 and digit_dominates((j - 1) // 2, (n - 2) // 2) else 0
 
 
+def _corrected(rank: int, correction: int) -> GWElem:
+    """The class rank + (u - 1) * correction, with rank the cell's C(n, j):
+    the one constructor of every enriched class."""
+    return gw_from_coeffs(rank - correction, correction)
+
+
+def _untwisted_cell(n: int, j: int) -> None:
+    if n < 0:
+        raise ValueError(f"non-negative n required, got {n}")
+    if not 0 <= j <= n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+
+
 def untwisted_closed(n: int, j: int) -> EnrichedCoefficient:
     """Closed-form enriched coefficient for j blues among n beads,
     evaluated through the digit-dominance parity of the correction.  The
     raw-binomial route is checked against it in `verify`."""
-    if n < 0:
-        raise ValueError(f"non-negative n required, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    return EnrichedCoefficient(n, j, False, _closed_value(n, j, comb(n, j)), "closed")
-
-
-def _closed_value(n: int, j: int, rank: int) -> GWElem:
-    """The closed form's class of cell (n, j) given its rank C(n, j): the one
-    definition behind both untwisted_closed and the triangle's row walk."""
-    d = correction_parity(n, j)
-    return gw_from_coeffs(rank - d, d)
+    _untwisted_cell(n, j)
+    return EnrichedCoefficient(n, j, False, _corrected(comb(n, j), correction_parity(n, j)),
+                               "closed")
 
 
 def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
     """Enumeration oracle: C(n, j) + (u - 1) * (even-period orbit count)."""
-    if n < 0:
-        raise ValueError(f"non-negative n required, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    _untwisted_cell(n, j)
     # the empty necklace (n = 0): a single orbit of odd period one
     even = count_even_orbits(n, j) if n else 0
-    return EnrichedCoefficient(n, j, False, _corrected(n, j, even), "oracle")
-
-
-def _corrected(n: int, j: int, correction: int) -> GWElem:
-    """The class C(n, j) + (u - 1) * correction."""
-    return gw_from_coeffs(comb(n, j) - correction, correction)
+    return EnrichedCoefficient(n, j, False, _corrected(comb(n, j), even), "oracle")
 
 
 def twisted_correction_parity(j: int) -> int:
@@ -124,7 +121,7 @@ def twisted_closed(j: int) -> EnrichedCoefficient:
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
     d = twisted_correction_parity(j)
-    return EnrichedCoefficient(2 * j, j, True, _corrected(2 * j, j, d), "closed")
+    return EnrichedCoefficient(2 * j, j, True, _corrected(comb(2 * j, j), d), "closed")
 
 
 def half_central_hyperbolic(j: int) -> GWElem:
@@ -141,7 +138,7 @@ def twisted_oracle(j: int) -> EnrichedCoefficient:
     """Enumeration oracle over the rotate-then-color-swap action:
     C(2j, j) + (u - 1) * (even-twisted-period orbit count)."""
     even = count_even_twisted_orbits(j)
-    return EnrichedCoefficient(2 * j, j, True, _corrected(2 * j, j, even), "oracle")
+    return EnrichedCoefficient(2 * j, j, True, _corrected(comb(2 * j, j), even), "oracle")
 
 
 def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
@@ -163,7 +160,7 @@ def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
     for n in range(rows):
         values, rank = [], 1
         for j in range(n // 2 + 1):
-            values.append(_closed_value(n, j, rank))
+            values.append(_corrected(rank, correction_parity(n, j)))
             rank = rank * (n - j) // (j + 1)
         values += values[:(n + 1) // 2][::-1]
         table.append([EnrichedCoefficient(n, j, False, v, "closed") for j, v in enumerate(values)])
@@ -185,17 +182,15 @@ def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
 # Each family's routes in display order.  A route maps (n, j, even), with
 # even the work item's even-orbit count, to the cell's class, and looks its
 # function up by name when called, so a patched module attribute takes effect.
+_ORACLE_ROUTE = ("oracle", lambda n, j, even: _corrected(comb(n, j), even))
 ROUTES = {
     False: (
         ("closed", lambda n, j, even: untwisted_closed(n, j).value),
         ("binomial", lambda n, j, even: _corrected(
-            n, j, big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)))),
-        ("oracle", lambda n, j, even: _corrected(n, j, even)),
+            comb(n, j), big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)))),
+        _ORACLE_ROUTE,
     ),
-    True: (
-        ("closed", lambda n, j, even: twisted_closed(j).value),
-        ("oracle", lambda n, j, even: _corrected(n, j, even)),
-    ),
+    True: (("closed", lambda n, j, even: twisted_closed(j).value), _ORACLE_ROUTE),
 }
 
 
@@ -251,11 +246,11 @@ def _check_item(item: tuple[bool, int]) -> list[CellCheck]:
         even = [e for row in even_orbit_counts(k) for e in row]
     count_s = time.perf_counter() - start
     total = sum(comb(n, j) for n, j in cells)
-    return [_check_cell(twisted, n, j, e, count_s * comb(n, j) / total)
+    return [_cell_check(twisted, n, j, e, count_s * comb(n, j) / total)
             for (n, j), e in zip(cells, even)]
 
 
-def _check_cell(twisted: bool, n: int, j: int, even: int, share: float) -> CellCheck:
+def _cell_check(twisted: bool, n: int, j: int, even: int, share: float) -> CellCheck:
     start = time.perf_counter()
     values = {name: route(n, j, even) for name, route in ROUTES[twisted]}
     closed, oracle = values["closed"], values["oracle"]

@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .arith import mobius
+from .arith import _require_int, mobius
 
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
@@ -70,9 +70,18 @@ class EnumerationLimitError(ValueError):
     """An orbit enumeration would exceed the encoding or the mask budget."""
 
 
+def _check_cell(n: int, j: int) -> None:
+    if n < 1:
+        raise ValueError(f"positive n required, got {n}")
+    if not 0 <= j <= n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+
+
 def check_enumeration(n: int, j: int) -> None:
-    """Raise EnumerationLimitError unless the C(n, j) masks of an (n, j)
-    enumeration fit the word width and the MAX_MASKS budget."""
+    """The one gate of every enumeration: raise ValueError unless (n, j) is
+    a cell, then EnumerationLimitError unless its C(n, j) masks fit the
+    word width and the MAX_MASKS budget."""
+    _check_cell(n, j)
     if n > WORD_BITS:
         raise EnumerationLimitError(f"n={n} exceeds the hard limit of {WORD_BITS} beads")
     if comb(n, j) > MAX_MASKS:
@@ -89,6 +98,7 @@ class Necklace:
     blues: int
 
     def __post_init__(self) -> None:
+        _require_int(self.size, self.blues)
         if not 1 <= self.size <= WORD_BITS:
             raise ValueError(f"size must be in [1, {WORD_BITS}], got {self.size}")
         if not 0 <= self.blues < 1 << self.size:
@@ -145,12 +155,6 @@ def flip(l: Necklace) -> Necklace:
 def color_swap(l: Necklace) -> Necklace:
     """Exchange the colors of all beads.  An involution."""
     return Necklace(l.size, l.blues ^ ((1 << l.size) - 1))
-
-
-def _rotation_step(n: int):
-    """One-bead rotation of n-bit masks."""
-    full = (1 << n) - 1
-    return lambda m: ((m << 1) & full) | (m >> (n - 1))
 
 
 def _twisted_step(n: int):
@@ -240,10 +244,15 @@ def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex
     return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in reps)
 
 
+def _same_orbit(image: str, word: str) -> bool:
+    """Whether image, a word as long as word, lies in the rotation orbit of
+    word: the rotations of word are the windows of word + word."""
+    return image in word + word
+
+
 def _flip_fixed(word: str) -> bool:
-    """Whether the flip preserves the rotation orbit of word: the flip
-    reverses the word, and the orbit holds it when it is a rotation."""
-    return word[::-1] in word + word
+    """Whether the flip, which reverses the word, preserves its orbit."""
+    return _same_orbit(word[::-1], word)
 
 
 def _rotation_record(n: int, least: int, period: int) -> OrbitRecord:
@@ -255,7 +264,7 @@ def _rotation_record(n: int, least: int, period: int) -> OrbitRecord:
 
 def orbit_record_of(l: Necklace) -> OrbitRecord:
     """Record of the rotation orbit containing l."""
-    orbit = _cycle(l.blues, _rotation_step(l.size))
+    orbit = _cycle(l.blues, lambda m: _rot_mask(m, l.size, 1))
     return _rotation_record(l.size, min(orbit), len(orbit))
 
 
@@ -339,24 +348,15 @@ def _necklaces(n: int, j: int | None = None):
         bump = 1
 
 
-def _check_cell(n: int, j: int) -> None:
-    if n < 1:
-        raise ValueError(f"positive n required, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-
-
 def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
     """All rotation orbits of necklaces with j blues among n beads,
     sorted by canonical bitmask."""
-    _check_cell(n, j)
     check_enumeration(n, j)
     return tuple(_rotation_record(n, least, period) for least, period in _necklaces(n, j))
 
 
 def count_even_orbits(n: int, j: int) -> int:
     """Number of rotation orbits with even period."""
-    _check_cell(n, j)
     check_enumeration(n, j)
     return sum(1 for _, period in _necklaces(n, j) if period % 2 == 0)
 
@@ -368,7 +368,6 @@ def even_orbit_counts(n: int) -> list[list[int]]:
     word w of its first p bits, and the walk meets each such w once.  Row 0
     is the empty necklace, one orbit of odd period one.  The largest cell,
     (n, n // 2), must fit the enumeration budget."""
-    _check_cell(n, 0)
     check_enumeration(n, n // 2)
     # even-length Lyndon words by length and popcount
     words = [[0] * (p + 1) for p in range(n + 1)]
@@ -407,7 +406,6 @@ def _cell_orbits(n: int, j: int):
 
 def odd_flip_fixed_count(n: int, j: int) -> int:
     """Number of flip-fixed orbits of odd period, by enumeration."""
-    _check_cell(n, j)
     check_enumeration(n, j)
     return sum(rec.period % 2 for _, _, rec in _cell_orbits(n, j) if rec)
 
@@ -450,7 +448,6 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     axis classes all share one type); odd-period flip-fixed orbits carry
     one axis of each type.  Defined for even n only.
     """
-    _check_cell(n, j)
     check_enumeration(n, j)
     return _classify_flip_fixed(n, (rec for _, _, rec in _cell_orbits(n, j) if rec))
 
@@ -482,8 +479,7 @@ def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
 
 def color_swap_fixed(rec: OrbitRecord) -> bool:
     """True when the color-swapped necklace lies in the same rotation orbit."""
-    orbit = _cycle(rec.canonical.blues, _rotation_step(rec.size))
-    return color_swap(rec.canonical).blues in orbit
+    return _same_orbit(color_swap(rec.canonical).bitstring(), rec.canonical.bitstring())
 
 
 def interleave_parts(l: Necklace) -> tuple[Necklace, Necklace]:
@@ -670,7 +666,6 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     only of the flip-fixed orbits, the ones that need their axes and feed
     the classification; most orbits are not flip-fixed (252 of 32,066 at
     (22, 11)).  With classify, an odd n is refused before any enumeration."""
-    _check_cell(n, j)
     check_enumeration(n, j)
     if classify:
         _check_even(n)

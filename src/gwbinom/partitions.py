@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
+from .arith import _require_int
 from .necklaces import (
     OrbitRecord,
     _cycle,
@@ -43,7 +44,8 @@ class MarkedCyclicPartition:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        runs = tuple(int(r) for r in self.runs)
+        runs = tuple(self.runs)
+        _require_int(*runs)
         if len(runs) < 2 or len(runs) % 2:
             raise ValueError(f"even run count >= 2 required, got {runs}")
         if any(r < 1 for r in runs):

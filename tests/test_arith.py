@@ -85,6 +85,31 @@ def test_mobius_rejects_nonpositive():
         mobius(0)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (digit_sum, (2, 7.0)),
+    (digit_sum, (2.0, 7)),
+    (digit_sum, (True, 7)),
+    (kummer_valuation, (2, 10.0, 3)),
+    (kummer_valuation, (2, 10, 3.0)),
+    (kummer_valuation, (2, True, 0)),
+    (lucas_binom_mod_p, (2, 7.0, 3)),
+    (lucas_binom_mod_p, (3, 7, True)),
+    (lucas_binom_mod_p, (2, Fraction(7), 3)),
+    (valuation, (2.0, 8)),
+    (valuation, (2, 8.0)),
+    (valuation, (2, True)),
+    (_digits, (2, "5")),
+    (mobius, (6.0,)),
+    (mobius, (True,)),
+    (mobius, (Fraction(6),)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_non_int_arguments_raise_type_error(fn, args):
+    # floats, bools, Fractions and strings are refused, not computed with:
+    # digit_sum(2, 7.0) once returned 3.0 and mobius(True) returned 1
+    with pytest.raises(TypeError, match="int required"):
+        fn(*args)
+
+
 def test_valuation():
     assert valuation(2, 70) == 1
     assert valuation(2, 1) == 0

@@ -129,7 +129,7 @@ def test_dumps_is_indent_2_json(c_encoder, tree):
     # newlines, control and non-ASCII characters, and the seams of a run;
     # containers nest and are empty; lists hold runs of flat dicts
     with mock.patch.object(cli, "c_make_encoder", c_encoder):
-        assert cli._dumps(tree) == json.dumps(tree, indent=2)
+        assert "".join(cli._chunks(tree)) == json.dumps(tree, indent=2)
 
 
 def test_triangle_csv_row_count(capsys):

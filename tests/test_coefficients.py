@@ -169,6 +169,33 @@ def test_triangle_and_closed_form_share_one_definition(monkeypatch):
     assert calls == [(5, 2)]
 
 
+def test_every_class_comes_from_one_constructor(monkeypatch):
+    # with _corrected patched, every closed form, oracle, triangle cell and
+    # route returns its value, so no class is built any other way
+    import gwbinom.coefficients as coefficients
+
+    marker = gw_from_coeffs(-7, 1)
+    calls = []
+    monkeypatch.setattr(coefficients, "_corrected",
+                        lambda rank, correction: calls.append((rank, correction)) or marker)
+    assert untwisted_closed(6, 3).value == marker
+    assert calls == [(20, 0)]
+    assert untwisted_closed(8, 3).value == marker
+    assert calls[-1] == (56, 1)
+    assert untwisted_oracle(8, 3).value == marker
+    assert untwisted_oracle(0, 0).value == marker
+    assert twisted_closed(4).value == marker
+    assert calls[-1] == (70, 1)
+    assert twisted_oracle(3).value == marker
+    assert all(c.value == marker for row in triangle(12) for c in row)
+    for twisted, routes in coefficients.ROUTES.items():
+        n, j = (6, 3) if twisted else (8, 3)
+        for name, route in routes:
+            calls.clear()
+            assert route(n, j, 2) == marker, (twisted, name)
+            assert calls and calls[-1][0] == comb(n, j), (twisted, name)
+
+
 def test_closed_equals_oracle_small():
     for n in range(1, 13):
         for j in range(n + 1):

@@ -76,6 +76,13 @@ def test_flip_examples():
     assert flip(neck(5, 0, 2)) == neck(5, 0, 3)
 
 
+@pytest.mark.parametrize("size, blues", [(True, 1), (3, 1.0), ("3", 1), (2.0, 0), (3, False)])
+def test_necklace_rejects_non_int_fields(size, blues):
+    # a bool size was taken for a 1-bead necklace
+    with pytest.raises(TypeError, match="int required"):
+        Necklace(size, blues)
+
+
 def test_color_swap_examples():
     assert color_swap(neck(4, 0, 1)) == neck(4, 2, 3)
     assert color_swap(neck(2, 0)) == neck(2, 1)
@@ -272,6 +279,43 @@ def test_even_orbit_count_matches_inversion_formula():
             if n % d == 0 and (j * d) % n == 0
         )
         assert count_even_orbits(n, j) == by_inversion
+
+
+# each gated enumerator as a function of a cell (n, j); even_orbit_counts
+# takes only n and gates its row's largest cell
+_GATED = {
+    "enumerate_orbits": enumerate_orbits,
+    "count_even_orbits": count_even_orbits,
+    "even_orbit_counts": lambda n, j: even_orbit_counts(n),
+    "odd_flip_fixed_count": odd_flip_fixed_count,
+    "classify_flip_fixed": classify_flip_fixed,
+    "orbit_catalog": lambda n, j: orbit_catalog(n, j, classify=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_gated_enumerators_refuse_before_enumerating(monkeypatch, name):
+    # the cell check, then the word width, then the budget, all before the
+    # generator is called
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    enumerator = _GATED[name]
+    refusals = [
+        (0, 0, ValueError, "positive n required, got 0"),
+        (-3, 0, ValueError, "positive n required, got -3"),
+        (26, 13, EnumerationLimitError, r"C\(26, 13\) = 10400600 masks exceeds the enumeration budget"),
+    ]
+    if name != "even_orbit_counts":
+        refusals += [
+            (64, 65, ValueError, "need 0 <= j <= n, got j=65, n=64"),
+            (5, -1, ValueError, "need 0 <= j <= n, got j=-1, n=5"),
+            (64, 2, EnumerationLimitError, "n=64 exceeds the hard limit of 63 beads"),
+        ]
+    for n, j, error, message in refusals:
+        with pytest.raises(error, match=message):
+            enumerator(n, j)
 
 
 def test_enumeration_budget():
@@ -750,6 +794,20 @@ def test_twisted_period_law():
                 assert rec.twisted_period % 2 == 1
             else:
                 assert rec.twisted_period == urec.period
+
+
+def test_color_swap_fixed_matches_walked_orbit():
+    # the string search against its definition: the swapped mask lies in
+    # the rotation orbit walked from the canonical mask
+    outcomes = set()
+    for n in range(1, 13):
+        for j in range(n + 1):
+            for rec in enumerate_orbits(n, j):
+                walked = _cycle(rec.canonical.blues, lambda m: _rot_mask(m, n, 1))
+                expected = color_swap(rec.canonical).blues in walked
+                assert color_swap_fixed(rec) == expected, (n, rec)
+                outcomes.add(expected)
+    assert outcomes == {False, True}
 
 
 def test_swap_is_involution_preserving_period():

@@ -42,6 +42,14 @@ def test_validation():
         MarkedCyclicPartition(())
 
 
+@pytest.mark.parametrize("runs", [(1.9, 2.7), ("3", "1"), (True, 1), (2, 1, 1, False)])
+def test_validation_rejects_non_int_runs(runs):
+    # int() once truncated (1.9, 2.7) to (1, 2) and parsed ("3", "1")
+    with pytest.raises(TypeError, match="int required"):
+        MarkedCyclicPartition(runs)
+    assert MarkedCyclicPartition([3, 1]).runs == (3, 1)
+
+
 def test_encode_run_examples():
     # ten-bead necklaces with four blues and their run encodings
     assert encode(orbit_record_of(neck(10, 1, 2, 3, 4))) == MarkedCyclicPartition((6, 4))

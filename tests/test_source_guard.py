@@ -80,6 +80,32 @@ def test_package_init_is_only_its_docstring():
     assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
+def _top_level_names(tree):
+    """Names a module binds at its top level by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_no_name_is_defined_in_two_modules():
+    # one definition per rule: a name defined in two modules is two rules
+    # that a reader, or a monkeypatch, can confuse
+    seen, twice = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for name in _top_level_names(ast.parse(path.read_text())):
+            if name in seen and seen[name] != path.name:
+                twice.append(f"{name}: {seen[name]} and {path.name}")
+            seen.setdefault(name, path.name)
+    assert twice == []
+    assert _top_level_names(ast.parse("def f(): pass\nclass C: pass\nX, Y = 1, 2\nZ: int = 3\n")) \
+        == ["f", "C", "X", "Y", "Z"]
+
+
 def test_every_defined_name_is_used():
     # a function, class, method or property named only on its own def line
     # is dead code; dunders are called by Python itself
