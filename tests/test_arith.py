@@ -105,7 +105,8 @@ def test_mobius_rejects_nonpositive():
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_non_int_arguments_raise_type_error(fn, args):
     # floats, bools, Fractions and strings are refused, not computed with:
-    # digit_sum(2, 7.0) once returned 3.0 and mobius(True) returned 1
+    # a float would come back as a float (digit_sum(2, 7.0) == 3.0) and
+    # True would pass for 1
     with pytest.raises(TypeError, match="int required"):
         fn(*args)
 

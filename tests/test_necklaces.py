@@ -78,7 +78,7 @@ def test_flip_examples():
 
 @pytest.mark.parametrize("size, blues", [(True, 1), (3, 1.0), ("3", 1), (2.0, 0), (3, False)])
 def test_necklace_rejects_non_int_fields(size, blues):
-    # a bool size was taken for a 1-bead necklace
+    # True would pass the range check as a 1-bead necklace
     with pytest.raises(TypeError, match="int required"):
         Necklace(size, blues)
 

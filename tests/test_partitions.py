@@ -44,7 +44,7 @@ def test_validation():
 
 @pytest.mark.parametrize("runs", [(1.9, 2.7), ("3", "1"), (True, 1), (2, 1, 1, False)])
 def test_validation_rejects_non_int_runs(runs):
-    # int() once truncated (1.9, 2.7) to (1, 2) and parsed ("3", "1")
+    # coercing with int() would truncate (1.9, 2.7) to (1, 2) and parse ("3", "1")
     with pytest.raises(TypeError, match="int required"):
         MarkedCyclicPartition(runs)
     assert MarkedCyclicPartition([3, 1]).runs == (3, 1)
