@@ -52,11 +52,11 @@ from math import comb, gcd
 from .arith import _require_int, mobius
 
 WORD_BITS = 63
-# The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156
-# masks; enumerate_orbits(24, 12) takes about 1.3 s and 40 MB, and
-# count_even_twisted_orbits(12) about 0.4 s and even_orbit_counts(24), the
-# walk over the 1,465,020 prenecklaces that counts every row up to 24, about
-# 0.8 s, each in 16 MB of process RSS (Python 3.11, 2-vCPU Xeon).
+# The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
+# Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
+# process RSS): enumerate_orbits(24, 12) 0.82-1.23 s in 32 MB; in 16 MB each,
+# count_even_twisted_orbits(12) 0.29-0.40 s and even_orbit_counts(24), the walk
+# over the 1,465,020 prenecklaces that counts every row up to 24, 0.67-0.97 s.
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
