@@ -82,7 +82,7 @@ def _corrected(rank: int, correction: int) -> GWElem:
     return gw_from_coeffs(rank - correction, correction)
 
 
-def _untwisted_cell(n: int, j: int) -> None:
+def _check_untwisted_cell(n: int, j: int) -> None:
     if n < 0:
         raise ValueError(f"non-negative n required, got {n}")
     if not 0 <= j <= n:
@@ -93,14 +93,14 @@ def untwisted_closed(n: int, j: int) -> EnrichedCoefficient:
     """Closed-form enriched coefficient for j blues among n beads,
     evaluated through the digit-dominance parity of the correction.  The
     raw-binomial route is checked against it in `verify`."""
-    _untwisted_cell(n, j)
+    _check_untwisted_cell(n, j)
     return EnrichedCoefficient(n, j, False, _corrected(comb(n, j), correction_parity(n, j)),
                                "closed")
 
 
 def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
     """Enumeration oracle: C(n, j) + (u - 1) * (even-period orbit count)."""
-    _untwisted_cell(n, j)
+    _check_untwisted_cell(n, j)
     # the empty necklace (n = 0): a single orbit of odd period one
     even = count_even_orbits(n, j) if n else 0
     return EnrichedCoefficient(n, j, False, _corrected(comb(n, j), even), "oracle")

@@ -37,10 +37,10 @@ walks no orbit, since a necklace's period and one rotation by half of it
 give its twisted length.  No enumeration keeps a set of the points it has
 met.
 
-Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration
-refuses n beyond the 63-bit encoding and any cell with more than MAX_MASKS
-masks, before any work starts, and a walk to n must fit row n's largest
-cell, (n, n // 2).  Nothing is memoised.
+Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration,
+every enumerator's one gate, refuses a non-cell, n beyond the 63-bit encoding
+and any cell with more than MAX_MASKS masks before any work starts, and a
+walk to n must fit row n's largest cell, (n, n // 2).  Nothing is memoised.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """The package reads no environment knob, keeps no unbounded memo or
 visited-point set, lays out beads as mask bits in one module only,
-re-exports nothing, and defines no name that nothing else names."""
+re-exports nothing, defines no top-level name in two modules, and defines
+no name that nothing else names."""
 
 import ast
 import re
