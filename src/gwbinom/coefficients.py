@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import comb
 
-from .arith import big_binomial, digit_dominates
+from .arith import _require_int, big_binomial, digit_dominates
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
 from .necklaces import (
     check_enumeration,
@@ -83,6 +83,7 @@ def _corrected(rank: int, correction: int) -> GWElem:
 
 
 def _check_untwisted_cell(n: int, j: int) -> None:
+    _require_int(n, j)
     if n < 0:
         raise ValueError(f"non-negative n required, got {n}")
     if not 0 <= j <= n:
@@ -118,6 +119,7 @@ def twisted_correction_parity(j: int) -> int:
 
 def twisted_closed(j: int) -> EnrichedCoefficient:
     """Closed-form twisted coefficient: C(2j, j) + (u - 1) * correction."""
+    _require_int(j)
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
     d = twisted_correction_parity(j)

@@ -6,18 +6,19 @@ top; positions run counterclockwise.  Bead sets are stored as bitmasks
 caps n at the word width of 63 beads.  Only the mask primitives (the
 rotations, the orbit steps and the necklace generator) and the word form,
 _word (behind Necklace.bitstring) and its inverse _from_word, rely on
-that layout; every other relabelling of beads (the flip, the interleave
-halves, cutting out or splicing in axis beads, and the run lengths in the
-partitions module) is a slice or splice of the word.  On top of the
-three generators
+that layout; every other relabelling of beads (each reflection r^m f, by
+_reflect, the interleave halves, cutting out or splicing in axis beads,
+and the run lengths in the partitions module) is a slice or splice of the
+word.  On top of the three generators
 
   * rotate(l, k)     -- positions shift by k mod n,
   * flip(l)          -- reflection through the top bead, p -> (n - p) mod n,
   * color_swap(l)    -- exchange blue and red everywhere,
 
-the module enumerates rotation orbits with their periods, detects which
-orbits are preserved by the flip, classifies their symmetry axes (type 1
-passes between beads, type 2 passes through at least one bead), splits an
+the module enumerates rotation orbits with their periods, reads whether
+the flip preserves an orbit, and its symmetry axes (type 1 passes between
+beads, type 2 passes through at least one bead), off one search of the
+reversed word in the doubled word (_axes), splits an
 even-length orbit into its two interleaved half-length orbits, strips or
 inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
@@ -71,6 +72,7 @@ class EnumerationLimitError(ValueError):
 
 
 def _check_cell(n: int, j: int) -> None:
+    _require_int(n, j)
     if n < 1:
         raise ValueError(f"positive n required, got {n}")
     if not 0 <= j <= n:
@@ -108,6 +110,7 @@ class Necklace:
     def from_positions(cls, size: int, positions) -> "Necklace":
         mask = 0
         for p in positions:
+            _require_int(p)
             if not 0 <= p < size:
                 raise ValueError(f"position {p} out of range for size {size}")
             mask |= 1 << p
@@ -147,9 +150,13 @@ def rotate(l: Necklace, k: int) -> Necklace:
 
 def flip(l: Necklace) -> Necklace:
     """Reflect through the top bead: p -> (n - p) mod n.  An involution."""
-    # Read as a mask, the word holds bead p at bit n - 1 - p; one more bead
-    # of rotation puts it at n - p.
-    return Necklace(l.size, _rot_mask(int(l.bitstring(), 2), l.size, 1))
+    return _from_word(_reflect(l.bitstring(), 0))
+
+
+def _reflect(word: str, m: int) -> str:
+    """The word of the image under r^m f, p -> (m - p) mod n, for 0 <= m < n:
+    bead q of the image is bead (m - q) mod n of word."""
+    return word[m::-1] + word[:m:-1]
 
 
 def color_swap(l: Necklace) -> Necklace:
@@ -206,17 +213,21 @@ class AxisIndex:
 
 @dataclass(frozen=True, slots=True)
 class OrbitRecord:
-    """A rotation orbit: canonical necklace, period, flip behaviour, axes.
+    """A rotation orbit: canonical necklace, period and axes.
 
     ``axes`` lists one representative per axis class of the orbit, i.e.
-    per orbit of (necklace, axis) pairs under rotation; it is empty
-    exactly when the orbit is not flip-fixed.
+    per orbit of (necklace, axis) pairs under rotation, as _axes reads
+    them off the canonical word; the orbit is flip-fixed exactly when
+    they are not empty.
     """
 
     canonical: Necklace
     period: int
-    flip_fixed: bool
     axes: tuple[AxisIndex, ...]
+
+    @property
+    def flip_fixed(self) -> bool:
+        return bool(self.axes)
 
     @property
     def size(self) -> int:
@@ -227,39 +238,27 @@ class OrbitRecord:
         return self.canonical.j
 
 
-def _axis_classes(canon: Necklace, period: int, flipped: int) -> tuple[AxisIndex, ...]:
-    """Axis classes of a flip-fixed orbit; flipped is the flip of canon's mask."""
-    n = canon.size
-    ms = [m for m in range(n) if _rot_mask(flipped, n, m) == canon.blues]
-    # Reflections fixing one necklace differ by rotations in its stabilizer,
-    # so ms = {m0 + t*period}; rotating the representative shifts every m
-    # by 2, hence classes are ms modulo steps of 2*period.
-    if len(ms) != n // period:
-        raise RuntimeError(f"{len(ms)} fixing reflections, expected {n // period}")
-    m0 = ms[0]
-    if (n // period) % 2 == 1:
-        reps = [m0]
-    else:
-        reps = [m0, m0 + period]
-    return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in reps)
-
-
-def _same_orbit(image: str, word: str) -> bool:
-    """Whether image, a word as long as word, lies in the rotation orbit of
-    word: the rotations of word are the windows of word + word."""
-    return image in word + word
-
-
-def _flip_fixed(word: str) -> bool:
-    """Whether the flip, which reverses the word, preserves its orbit."""
-    return _same_orbit(word[::-1], word)
+def _axes(word: str, period: int) -> tuple[AxisIndex, ...]:
+    """The axis classes of the orbit of word, of period period; empty when
+    the flip does not preserve the orbit.  The reversed word, _reflect(word,
+    n - 1), is the window of word + word at i, word read from bead i, exactly
+    when r^(n-1+i) f fixes word.  The fixing reflections are r^(m + t*period) f
+    for the least such m, and rotating the word shifts every m by 2, so the
+    classes are these m mod 2*period."""
+    i = (word + word).find(word[::-1])  # as one slice: this runs on every orbit
+    if i < 0:
+        return ()
+    n = len(word)
+    m = (n - 1 + i) % period
+    ms = (m,) if n // period % 2 else (m, m + period)
+    for m in ms:
+        if _reflect(word, m) != word:
+            raise RuntimeError(f"reflection m={m} does not fix {word} of period {period}")
+    return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in ms)
 
 
 def _rotation_record(n: int, least: int, period: int) -> OrbitRecord:
-    canon = Necklace(n, least)
-    flip_fixed = _flip_fixed(canon.bitstring())
-    axes = _axis_classes(canon, period, flip(canon).blues) if flip_fixed else ()
-    return OrbitRecord(canon, period, flip_fixed, axes)
+    return OrbitRecord(Necklace(n, least), period, _axes(_word(least, n), period))
 
 
 def orbit_record_of(l: Necklace) -> OrbitRecord:
@@ -396,18 +395,18 @@ def aperiodic_count(n: int, j: int) -> int:
 
 
 def _cell_orbits(n: int, j: int):
-    """Yield (word, period, record) for each rotation orbit of a checked
-    (n, j) cell, ascending: one word and one flip test per orbit, and an
-    OrbitRecord, for its axes, only when the orbit is flip-fixed, else None."""
+    """Yield (word, period, axes) for each rotation orbit of a checked
+    (n, j) cell, ascending: one word and one _axes search per orbit, and
+    no OrbitRecord; axes is empty when the orbit is not flip-fixed."""
     for least, period in _necklaces(n, j):
         word = _word(least, n)
-        yield word, period, _rotation_record(n, least, period) if _flip_fixed(word) else None
+        yield word, period, _axes(word, period)
 
 
 def odd_flip_fixed_count(n: int, j: int) -> int:
     """Number of flip-fixed orbits of odd period, by enumeration."""
     check_enumeration(n, j)
-    return sum(rec.period % 2 for _, _, rec in _cell_orbits(n, j) if rec)
+    return sum(period % 2 for _, period, axes in _cell_orbits(n, j) if axes)
 
 
 def odd_flip_fixed_closed_form(n: int, j: int) -> int:
@@ -449,7 +448,8 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     one axis of each type.  Defined for even n only.
     """
     check_enumeration(n, j)
-    return _classify_flip_fixed(n, (rec for _, _, rec in _cell_orbits(n, j) if rec))
+    _check_even(n)
+    return _classify_flip_fixed((period, axes) for _, period, axes in _cell_orbits(n, j) if axes)
 
 
 def _check_even(n: int) -> None:
@@ -457,19 +457,18 @@ def _check_even(n: int) -> None:
         raise ValueError(f"even n required, got {n}")
 
 
-def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
-    """The counts of classify_flip_fixed from the records of the cell's
-    flip-fixed orbits; n is checked before the first record is drawn."""
-    _check_even(n)
+def _classify_flip_fixed(fixed) -> FlipFixedCounts:
+    """The counts of classify_flip_fixed from the (period, axes) pairs of
+    the flip-fixed orbits of an even-n cell."""
     t1 = t2 = odd = 0
-    for rec in records:
-        types = {a.axis_type for a in rec.axes}
-        if rec.period % 2:
+    for period, axes in fixed:
+        types = {a.axis_type for a in axes}
+        if period % 2:
             if types != {TYPE1, TYPE2}:
-                raise RuntimeError(f"odd-period orbit without both axis types: {rec}")
+                raise RuntimeError(f"odd-period orbit without both axis types: {axes}")
             odd += 1
         elif len(types) != 1:
-            raise RuntimeError(f"even-period orbit with mixed axis types: {rec}")
+            raise RuntimeError(f"even-period orbit with mixed axis types: {axes}")
         elif TYPE1 in types:
             t1 += 1
         else:
@@ -478,8 +477,10 @@ def _classify_flip_fixed(n: int, records) -> FlipFixedCounts:
 
 
 def color_swap_fixed(rec: OrbitRecord) -> bool:
-    """True when the color-swapped necklace lies in the same rotation orbit."""
-    return _same_orbit(color_swap(rec.canonical).bitstring(), rec.canonical.bitstring())
+    """True when the color-swapped necklace lies in the same rotation orbit,
+    that is when its word is a window of the doubled word."""
+    word = rec.canonical.bitstring()
+    return color_swap(rec.canonical).bitstring() in word + word
 
 
 def interleave_parts(l: Necklace) -> tuple[Necklace, Necklace]:
@@ -542,7 +543,7 @@ def strip_axis_beads(rec: OrbitRecord, axis: AxisIndex) -> OrbitRecord:
     if axis.axis_type != TYPE2:
         raise ValueError("a type-2 (through-beads) axis is required")
     l = rec.canonical
-    if _rot_mask(flip(l).blues, n, axis.m) != l.blues:
+    if _reflect(l.bitstring(), axis.m % n) != l.bitstring():
         raise ValueError(f"axis m={axis.m} does not fix the canonical representative")
     # With the on-axis bead m/2 moved to the front, the axis meets beads 0 and n/2.
     word = rotate(l, -(axis.m // 2)).bitstring()
@@ -604,6 +605,7 @@ def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
 
 def _balanced_cell(j: int) -> int:
     """2j, once j >= 1 and the (2j, j) cell fits the enumeration budget."""
+    _require_int(j)
     if j < 1:
         raise ValueError(f"positive j required, got {j}")
     check_enumeration(2 * j, j)
@@ -662,22 +664,21 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     """JSON-ready catalog of the rotation orbits of (n, j) necklaces, with
     classify_flip_fixed's counts under "classification" when classify.
 
-    Each orbit's dict is built from _cell_orbits, which makes OrbitRecords
-    only of the flip-fixed orbits, the ones that need their axes and feed
-    the classification; most orbits are not flip-fixed (252 of 32,066 at
-    (22, 11)).  With classify, an odd n is refused before any enumeration."""
+    Each orbit's dict is built from the word, period and axes that
+    _cell_orbits yields, with no OrbitRecord; the (period, axes) pairs of
+    the flip-fixed orbits, 252 of the 32,066 at (22, 11), feed the
+    classification.  With classify, an odd n is refused before any
+    enumeration."""
     check_enumeration(n, j)
     if classify:
         _check_even(n)
     orbits, fixed = [], []
-    for word, period, rec in _cell_orbits(n, j):
-        axes = []
-        if rec is not None:
-            fixed.append(rec)
-            axes = [{"m": a.m, "type": a.axis_type} for a in rec.axes]
-        orbits.append({"canonical": word, "period": period, "flip_fixed": rec is not None,
-                       "axes": axes})
+    for word, period, axes in _cell_orbits(n, j):
+        if axes:
+            fixed.append((period, axes))
+        listed = [{"m": a.m, "type": a.axis_type} for a in axes] if axes else []
+        orbits.append({"canonical": word, "period": period, "flip_fixed": bool(axes), "axes": listed})
     out = {"n": n, "j": j, "orbits": orbits}
     if classify:
-        out["classification"] = asdict(_classify_flip_fixed(n, fixed))
+        out["classification"] = asdict(_classify_flip_fixed(fixed))
     return out

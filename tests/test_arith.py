@@ -14,6 +14,14 @@ from gwbinom.arith import (
     mobius,
     valuation,
 )
+from gwbinom.coefficients import (
+    twisted_closed,
+    twisted_oracle,
+    untwisted_closed,
+    untwisted_oracle,
+    verify,
+)
+from gwbinom.necklaces import Necklace, count_even_orbits
 
 
 def pascal_rows(limit):
@@ -102,6 +110,13 @@ def test_mobius_rejects_nonpositive():
     (mobius, (6.0,)),
     (mobius, (True,)),
     (mobius, (Fraction(6),)),
+    (untwisted_closed, (True, 1)),
+    (untwisted_oracle, (True, 1)),
+    (twisted_closed, (True,)),
+    (twisted_oracle, (True,)),
+    (verify, (True, 0)),
+    (count_even_orbits, (4, True)),
+    (Necklace.from_positions, (3, [True])),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_non_int_arguments_raise_type_error(fn, args):
     # floats, bools, Fractions and strings are refused, not computed with:

@@ -19,6 +19,7 @@ from gwbinom.necklaces import (
     Necklace,
     _cycle,
     _necklaces,
+    _reflect,
     _rot_mask,
     _twisted_length,
     _twisted_step,
@@ -74,6 +75,17 @@ def test_rotate_examples():
 def test_flip_examples():
     assert flip(neck(4, 1)) == neck(4, 3)
     assert flip(neck(5, 0, 2)) == neck(5, 0, 3)
+
+
+def test_reflect_is_r_m_f():
+    # bead q of the image under r^m f, p -> m - p, is bead m - q; m = 0 is
+    # the flip and m = n - 1 the reversed word the axis search looks for
+    for n in range(1, 9):
+        for mask in range(1 << n):
+            word = Necklace(n, mask).bitstring()
+            for m in range(n):
+                assert _reflect(word, m) == "".join(word[(m - q) % n] for q in range(n))
+            assert _reflect(word, n - 1) == word[::-1]
 
 
 @pytest.mark.parametrize("size, blues", [(True, 1), (3, 1.0), ("3", 1), (2.0, 0), (3, False)])
@@ -945,17 +957,23 @@ def test_flip_fixed_counts_build_records_only_for_flip_fixed_orbits(monkeypatch)
             if n % 2 == 0:
                 assert asdict(classify_flip_fixed(n, j)) == want, (n, j)
 
-    # 20 of the 80 orbits of (12, 6) are flip-fixed, and only they get records
-    fixed = [rec.canonical.blues for rec in enumerate_orbits(12, 6) if rec.flip_fixed]
-    assert len(fixed) == 20
-    built = []
-    real = necklaces._rotation_record
+    # 20 of the 80 orbits of (12, 6) are flip-fixed; the counts and the
+    # catalog build no record, and make one axis search per orbit
+    records = enumerate_orbits(12, 6)
+    assert len(records) == 80 and sum(rec.flip_fixed for rec in records) == 20
+    words = [rec.canonical.bitstring() for rec in records]
+    built, searched = [], []
+    real_record, real_axes = necklaces._rotation_record, necklaces._axes
     monkeypatch.setattr(necklaces, "_rotation_record",
-                        lambda n, least, period: built.append(least) or real(n, least, period))
-    for count in (classify_flip_fixed, odd_flip_fixed_count):
+                        lambda *args: built.append(args) or real_record(*args))
+    monkeypatch.setattr(necklaces, "_axes",
+                        lambda word, period: searched.append(word) or real_axes(word, period))
+    for count in (classify_flip_fixed, odd_flip_fixed_count, orbit_catalog,
+                  lambda n, j: orbit_catalog(n, j, classify=True)):
         built.clear()
+        searched.clear()
         count(12, 6)
-        assert built == fixed, count
+        assert built == [] and searched == words, count
 
     # an odd n is refused before the generator is walked
     def no_enumeration(*args):

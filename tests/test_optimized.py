@@ -39,6 +39,15 @@ except RuntimeError as exc:
     print("raised", exc)
 """
 
+WRONG_PERIOD = """
+import gwbinom.necklaces as necklaces
+necklaces._necklaces = lambda n, j: iter([(0b1100, 2)])
+try:
+    necklaces.classify_flip_fixed(4, 2)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
 
 def run_optimized(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -58,6 +67,14 @@ def test_bogus_twisted_period_raises_under_O():
     proc = run_optimized("-c", BOGUS_NECKLACE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised twisted length 3 does not divide 4")
+
+
+def test_wrong_period_fails_the_reflection_check_under_O():
+    # the word 0011 has period 4; read with period 2 its axis classes
+    # would be m = 1 and m = 3, and r^3 f does not fix it
+    proc = run_optimized("-c", WRONG_PERIOD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised reflection m=3 does not fix 0011 of period 2")
 
 
 def test_wrong_binomial_route_fails_verify_under_O():
