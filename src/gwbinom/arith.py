@@ -1,11 +1,11 @@
 """Exact number-theoretic helpers.
 
-Everything here is big-integer or exact-rational arithmetic: binomial
-coefficients with a vanishing convention for fractional arguments, the
-Moebius function, p-adic valuations and digit expansions, Lucas residues,
-Kummer valuations, and the binary digit-dominance partial order.  Floats
-and bools are rejected with TypeError; parities and 2-adic valuations carry
-all the content downstream, so nothing here may round.
+Big-integer and rational arithmetic: binomials that vanish at fractional
+arguments, Moebius, p-adic valuations and digits, Lucas residues, Kummer
+valuations, binary digit dominance.  Nothing may round, as parities and
+2-adic valuations carry everything downstream.  The package's integer rule
+lives here alone: a size or count is an int, not a bool (`_require_int`),
+and at least 1 where it must be (`_require_positive`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,13 @@ def _require_int(*xs) -> None:
     for x in xs:
         if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"int required, got {x!r}")
+
+
+def _require_positive(x, name: str) -> None:
+    """`_require_int(x)`, then ValueError unless x >= 1."""
+    _require_int(x)
+    if x < 1:
+        raise ValueError(f"positive {name} required, got {x}")
 
 
 def _as_integer(x) -> int | None:

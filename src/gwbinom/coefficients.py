@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import comb
 
-from .arith import _require_int, big_binomial, digit_dominates
+from .arith import _require_int, _require_positive, big_binomial, digit_dominates
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
 from .necklaces import (
     check_enumeration,
@@ -73,6 +73,7 @@ def correction_parity(n: int, j: int) -> int:
     """1 when (j-1)/2 digit-dominates into (n-2)/2 (both must be
     non-negative integers, i.e. j odd and n even), else 0.  Equals the
     parity of C((n-2)/2, (j-1)/2)."""
+    _require_int(n, j)
     return 1 if n % 2 == 0 and j % 2 and digit_dominates((j - 1) // 2, (n - 2) // 2) else 0
 
 
@@ -114,14 +115,13 @@ def twisted_correction_parity(j: int) -> int:
     necklaces are each fixed by the twisted rotation, leaving no
     even-period orbits and hence no correction.
     """
+    _require_int(j)
     return 1 if j >= 2 and j & (j - 1) == 0 else 0
 
 
 def twisted_closed(j: int) -> EnrichedCoefficient:
     """Closed-form twisted coefficient: C(2j, j) + (u - 1) * correction."""
-    _require_int(j)
-    if j < 1:
-        raise ValueError(f"positive j required, got {j}")
+    _require_positive(j, "j")
     d = twisted_correction_parity(j)
     return EnrichedCoefficient(2 * j, j, True, _corrected(comb(2 * j, j), d), "closed")
 
@@ -130,6 +130,7 @@ def half_central_hyperbolic(j: int) -> GWElem:
     """The class (C(2j, j)/2) * (1 + u): half the central binomial times the
     hyperbolic-plane class.  Matches the twisted closed form for every
     j >= 2, and differs exactly at j = 1."""
+    _require_positive(j, "j")
     c = comb(2 * j, j)
     if c % 2:
         raise RuntimeError(f"central binomial C({2*j},{j}) should be even")
@@ -154,8 +155,7 @@ def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
     odd j, (j-1)/2 and (n-j-1)/2 add up to (n-2)/2, so one digit-dominates
     into it exactly when the other does.  The mirrored cells share the half
     row's GWElems."""
-    if rows < 1:
-        raise ValueError(f"positive row count required, got {rows}")
+    _require_positive(rows, "row count")
     if rows > MAX_ROWS:
         raise ValueError(f"{rows} rows exceed the triangle budget of {MAX_ROWS} (MAX_ROWS)")
     table = []
@@ -342,6 +342,7 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     twisted cell, one count.  One map runs them across min(jobs, CPU count,
     item count) processes (none when that is 1), and the report keeps the
     cell order: untwisted by (n, j), then twisted by j."""
+    _require_int(max_n, twisted_max_j, jobs)
     if max_n < 1 or twisted_max_j < 0 or jobs < 1:
         raise ValueError("need max_n >= 1, twisted_max_j >= 0 and jobs >= 1")
     check_enumeration(max_n, max_n // 2)

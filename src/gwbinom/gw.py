@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import _require_int
+
 SQUARE = 0
 NONSQUARE = 1
 
@@ -32,8 +34,7 @@ class GWElem:
     disc: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise TypeError(f"rank must be an int, got {self.rank!r}")
+        _require_int(self.rank, self.disc)
         if self.disc not in (SQUARE, NONSQUARE):
             raise ValueError(f"disc must be {SQUARE} (square) or {NONSQUARE} (nonsquare)")
 

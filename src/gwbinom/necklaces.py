@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .arith import _require_int, mobius
+from .arith import _require_int, _require_positive, mobius
 
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
@@ -73,8 +73,7 @@ class EnumerationLimitError(ValueError):
 
 def _check_cell(n: int, j: int) -> None:
     _require_int(n, j)
-    if n < 1:
-        raise ValueError(f"positive n required, got {n}")
+    _require_positive(n, "n")
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
 
@@ -145,6 +144,7 @@ def _rot_mask(mask: int, n: int, k: int) -> int:
 
 def rotate(l: Necklace, k: int) -> Necklace:
     """Shift every position by k mod n."""
+    _require_int(k)
     return Necklace(l.size, _rot_mask(l.blues, l.size, k))
 
 
@@ -605,9 +605,7 @@ def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
 
 def _balanced_cell(j: int) -> int:
     """2j, once j >= 1 and the (2j, j) cell fits the enumeration budget."""
-    _require_int(j)
-    if j < 1:
-        raise ValueError(f"positive j required, got {j}")
+    _require_positive(j, "j")
     check_enumeration(2 * j, j)
     return 2 * j
 

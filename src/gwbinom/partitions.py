@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .arith import _require_int
+from .arith import _require_int, _require_positive
 from .necklaces import (
     OrbitRecord,
     _cycle,
@@ -111,8 +111,7 @@ def partition_period(p: MarkedCyclicPartition) -> int:
 
 def compositions(j: int):
     """All 2^(j-1) ordered sequences of positive integers summing to j."""
-    if j < 1:
-        raise ValueError(f"positive j required, got {j}")
+    _require_positive(j, "j")
 
     def rec(remaining: int, prefix: tuple[int, ...]):
         if remaining == 0:

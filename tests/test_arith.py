@@ -15,13 +15,24 @@ from gwbinom.arith import (
     valuation,
 )
 from gwbinom.coefficients import (
+    correction_parity,
+    half_central_hyperbolic,
+    triangle,
     twisted_closed,
+    twisted_correction_parity,
     twisted_oracle,
     untwisted_closed,
     untwisted_oracle,
     verify,
 )
-from gwbinom.necklaces import Necklace, count_even_orbits
+from gwbinom.gw import GWElem
+from gwbinom.necklaces import Necklace, count_even_orbits, rotate
+from gwbinom.partitions import compositions
+
+
+def composition_list(j):
+    # compositions is a generator: its check runs on the first next()
+    return list(compositions(j))
 
 
 def pascal_rows(limit):
@@ -117,6 +128,14 @@ def test_mobius_rejects_nonpositive():
     (verify, (True, 0)),
     (count_even_orbits, (4, True)),
     (Necklace.from_positions, (3, [True])),
+    (correction_parity, (True, 1)),
+    (twisted_correction_parity, (True,)),
+    (half_central_hyperbolic, (True,)),
+    (rotate, (Necklace(3, 1), True)),
+    (verify, (3, 1, True)),
+    (triangle, (True,)),
+    (GWElem, (1, True)),
+    (composition_list, (True,)),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_non_int_arguments_raise_type_error(fn, args):
     # floats, bools, Fractions and strings are refused, not computed with:

@@ -124,7 +124,7 @@ def _nest(tree, depth: int, run: list):
 
 @pytest.mark.parametrize("c_encoder", [cli.c_make_encoder, None], ids=["c", "fallback"])
 @given(st.builds(_nest, _TREES, st.integers(0, 40), _RUN | st.just([])))
-def test_dumps_is_indent_2_json(c_encoder, tree):
+def test_chunks_are_indent_2_json(c_encoder, tree):
     # floats take exponent forms, nan and inf; strings carry quotes, braces,
     # newlines, control and non-ASCII characters, and the seams of a run;
     # containers nest and are empty; lists hold runs of flat dicts

@@ -1,7 +1,7 @@
 """The package reads no environment knob, keeps no unbounded memo or
-visited-point set, lays out beads as mask bits in one module only,
-re-exports nothing, defines no top-level name in two modules, and defines
-no name that nothing else names."""
+visited-point set, lays out beads as mask bits and states its integer rule
+in one module each, re-exports nothing, defines no top-level name in two
+modules, and defines no name that nothing else names."""
 
 import ast
 import re
@@ -12,6 +12,7 @@ SRC = ROOT / "src" / "gwbinom"
 FORBIDDEN = re.compile(r"os\.environ|getenv|functools\.cache|from functools import .*\bcache\b|lru_cache")
 BEAD_LAYOUT = re.compile(r"<<|>>|\.blues\b")
 VISITED_SET = re.compile(r"\bset\(\)")
+INT_RULE = re.compile(r'isinstance\([^)]*\bbool\b|ValueError\(f"positive ')
 
 
 def _hits(pattern, exempt=()):
@@ -37,6 +38,12 @@ def test_no_visited_point_sets():
 def test_bead_layout_stays_in_necklaces():
     # outside necklaces.py a necklace is handled as its word, never as bits
     assert _hits(BEAD_LAYOUT, exempt={"necklaces.py"}) == []
+
+
+def test_int_rule_stays_in_arith():
+    # "an int, not a bool, at least 1" is written once, in arith.py: a hand
+    # copy elsewhere can drop its bool half and let True pass for 1
+    assert _hits(INT_RULE, exempt={"arith.py"}) == []
 
 
 def _stdout_writes(tree):
