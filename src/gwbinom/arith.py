@@ -18,7 +18,7 @@ from itertools import zip_longest
 def _require_int(*xs) -> None:
     """Raise TypeError unless every x is an int, and not a bool."""
     for x in xs:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise TypeError(f"int required, got {x!r}")
 
 
