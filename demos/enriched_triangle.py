@@ -8,7 +8,7 @@ binomial C((n-2)/2, (j-1)/2) is odd.
 """
 
 from gwbinom.cli import triangle_text
-from gwbinom.coefficients import triangle, untwisted_closed, untwisted_oracle
+from gwbinom.coefficients import triangle_rows, untwisted_closed, untwisted_oracle
 from gwbinom.gw import NONSQUARE_UNIT, gw_display, gw_from_coeffs, trace_form_class
 
 print(__doc__)
@@ -23,7 +23,7 @@ for n in range(1, 7):
 print()
 
 print("The first nine rows:")
-print(triangle_text(triangle(9)))
+print(triangle_text(triangle_rows(9)))
 print()
 
 print("Every entry is also computable by counting even-period necklace orbits;")

@@ -21,22 +21,22 @@ import csv
 import json
 import os
 import sys
-from itertools import groupby, zip_longest
+from itertools import chain, groupby, zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 
 from .arith import _smallest_factor, valuation
 from .coefficients import (
-    EnrichedCoefficient,
     VerifyReport,
-    triangle,
-    triangle_to_json,
+    _triangle_json,
+    triangle_rows,
     twisted_closed,
     twisted_oracle,
     untwisted_closed,
     untwisted_oracle,
     verify,
 )
+from .gw import GWElem, gw_display
 from .necklaces import check_enumeration, orbit_catalog
 
 FORMATS = ("text", "json", "csv")
@@ -138,7 +138,10 @@ def _chunks(obj):
         else:
             inner = sep + "  "
             seam = f"{sep[1:]}}}{sep}{{{inner[1:]}"
-            for is_run, group in groupby(o, run_key):
+            # a list that is one whole run is told by C-level passes, not run_key per item
+            whole = (set(map(type, o)) == {dict} and all(o)
+                     and flat(chain.from_iterable(map(dict.values, o))))
+            for is_run, group in [(True, o)] if whole else groupby(o, run_key):
                 if is_run:
                     body = enc(list(group), inner)[2:-2].replace("}" + inner + "{", seam)
                     pieces = [f"{{{inner[1:]}{body}{sep[1:]}}}"]
@@ -216,19 +219,20 @@ def _cmd_coeff(args) -> int:
     return 0 if agree else 1
 
 
-def triangle_text(table: list[list[EnrichedCoefficient]]) -> str:
-    """Centered text triangle; entries joined by double spaces."""
-    lines = ["  ".join(c.display for c in row) for row in table]
+def triangle_text(rows: list[list[GWElem]]) -> str:
+    """Centered text triangle of class rows; entries joined by double spaces."""
+    lines = ["  ".join(map(gw_display, row)) for row in rows]
     width = len(lines[-1])
     return "\n".join(line.center(width).rstrip() for line in lines)
 
 
 def _cmd_triangle(args) -> int:
     _check_printable(args.rows - 1, (args.rows - 1) // 2)
-    table = triangle(args.rows)
-    _emit(args.format, lambda: triangle_to_json(table), ["row", "j", "rank", "disc", "display"],
-          ([c.n, c.j, c.value.rank, c.value.disc_name, c.display] for row in table for c in row),
-          map(triangle_text, [table]))
+    rows = triangle_rows(args.rows)
+    _emit(args.format, lambda: _triangle_json(rows), ["row", "j", "rank", "disc", "display"],
+          ([n, j, v.rank, v.disc_name, gw_display(v)]
+           for n, row in enumerate(rows) for j, v in enumerate(row)),
+          map(triangle_text, [rows]))
     return 0
 
 

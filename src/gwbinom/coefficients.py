@@ -144,9 +144,10 @@ def twisted_oracle(j: int) -> EnrichedCoefficient:
     return EnrichedCoefficient(2 * j, j, True, _corrected(comb(2 * j, j), even), "oracle")
 
 
-def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
-    """Rows 0 .. rows-1 of the enriched triangle, via the closed form;
-    at most MAX_ROWS rows.
+def triangle_rows(rows: int) -> list[list[GWElem]]:
+    """The classes of rows 0 .. rows-1 of the enriched triangle, via the
+    closed form; at most MAX_ROWS rows.  rows[n][j] is the class of cell
+    (n, j).
 
     Each row walks its half j <= n // 2 with the exact integer step
     C(n, j + 1) = C(n, j) * (n - j) // (j + 1), so no cell computes a fresh
@@ -164,16 +165,37 @@ def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
         for j in range(n // 2 + 1):
             values.append(_corrected(rank, correction_parity(n, j)))
             rank = rank * (n - j) // (j + 1)
-        values += values[:(n + 1) // 2][::-1]
-        table.append([EnrichedCoefficient(n, j, False, v, "closed") for j, v in enumerate(values)])
+        table.append(values + values[:(n + 1) // 2][::-1])
     return table
 
 
+def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
+    """The cells of `triangle_rows` as closed-form coefficients."""
+    return [[EnrichedCoefficient(n, j, False, v, "closed") for j, v in enumerate(row)]
+            for n, row in enumerate(triangle_rows(rows))]
+
+
+def _triangle_json(rows: list[list[GWElem]]) -> dict:
+    """The triangle's JSON from its class rows.  Each distinct class is
+    rendered once: a mirrored cell (n, j), j > n - j, whose GWElem is its
+    partner's reuses the partner's rendering."""
+    table = []
+    for n, row in enumerate(rows):
+        shown = []
+        for j, v in enumerate(row):
+            shown.append(shown[n - j] if n - j < j and row[n - j] is v else gw_to_json(v))
+        table.append([{"n": n, "j": j, **s} for j, s in enumerate(shown)])
+    return {"rows": len(rows), "triangle": table}
+
+
 def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
-    return {
-        "rows": len(table),
-        "triangle": [[{"n": c.n, "j": c.j, **gw_to_json(c.value)} for c in row] for row in table],
-    }
+    """The triangle's JSON from a table of coefficients, each at row c.n,
+    position c.j."""
+    for n, row in enumerate(table):
+        for j, c in enumerate(row):
+            if (c.n, c.j) != (n, j):
+                raise ValueError(f"cell (n={c.n}, j={c.j}) found at row {n}, position {j}")
+    return _triangle_json([[c.value for c in row] for row in table])
 
 
 # ---------------------------------------------------------------------------
