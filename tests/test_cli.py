@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from gwbinom import cli
 from gwbinom.cli import main
-from gwbinom.coefficients import triangle, triangle_to_json
+from gwbinom.coefficients import (
+    EnrichedCoefficient,
+    triangle,
+    triangle_to_json,
+    untwisted_closed,
+)
+from gwbinom.gw import NONSQUARE_UNIT, ONE
 
 
 def run(capsys, *argv):
@@ -89,6 +95,65 @@ def test_triangle_json_roundtrip(capsys):
     assert json.loads(out) == triangle_to_json(triangle(7))
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_triangle_command_builds_no_coefficient(capsys, monkeypatch, fmt):
+    # the command renders from the class rows, with no per-cell wrapper
+    made = []
+    real_init = EnrichedCoefficient.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnrichedCoefficient, "__init__", counted)
+    code, out, _ = run(capsys, "triangle", "--rows", "40", "--format", fmt)
+    assert code == 0 and out
+    assert made == []
+    triangle(2)
+    assert len(made) == 3  # the patch does count
+
+
+def test_triangle_json_renders_each_class_once(capsys, monkeypatch):
+    # the mirrored half shares the walked half's classes and their renderings:
+    # one gw_to_json call per cell j <= n // 2, 420 over 40 rows
+    import gwbinom.coefficients as coefficients
+
+    calls = []
+    real = coefficients.gw_to_json
+    monkeypatch.setattr(coefficients, "gw_to_json", lambda x: calls.append(x) or real(x))
+    code, _, _ = run(capsys, "triangle", "--rows", "40", "--format", "json")
+    assert code == 0
+    assert len(calls) == sum(n // 2 + 1 for n in range(40)) == 420
+
+
+def test_triangle_to_json_takes_a_table_built_cell_by_cell():
+    # cells from untwisted_closed share no GWElem, so every cell is rendered
+    table = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(60)]
+    for rows in range(1, 61):
+        assert triangle_to_json(table[:rows]) == triangle_to_json(triangle(rows)), rows
+    # a cell past its row's end mirrors no other cell, though row[n - j] is itself
+    row = [EnrichedCoefficient(0, j, False, v, "closed")
+           for j, v in enumerate([ONE, NONSQUARE_UNIT])]
+    assert [c["display"] for c in triangle_to_json([row])["triangle"][0]] == ["1", "u"]
+
+
+def test_triangle_to_json_matches_the_command_bytes(capsys):
+    code, out, _ = run(capsys, "triangle", "--rows", "300", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(triangle_to_json(triangle(300)), indent=2) + "\n"
+
+
+def test_triangle_to_json_refuses_a_cell_out_of_place():
+    table = triangle(6)
+    table[4][1], table[4][2] = table[4][2], table[4][1]
+    with pytest.raises(ValueError, match=r"cell \(n=4, j=2\) found at row 4, position 1"):
+        triangle_to_json(table)
+    table = triangle(6)
+    table[3], table[5] = table[5], table[3]
+    with pytest.raises(ValueError, match="found at row 3"):
+        triangle_to_json(table)
+
+
 # strings that look like the seam between two dicts of a run once encoded
 _SEAMS = st.sampled_from(["}", "{", '",', "\n", "},\n  {", '"},\n    {"', "}\n{"])
 _TEXT = (st.text(st.sampled_from('az"\\{}[]:, \n\t\x00\x1f\x7fé€\u2028😀') | st.characters(),
@@ -130,6 +195,26 @@ def test_chunks_are_indent_2_json(c_encoder, tree):
     # containers nest and are empty; lists hold runs of flat dicts
     with mock.patch.object(cli, "c_make_encoder", c_encoder):
         assert "".join(cli._chunks(tree)) == json.dumps(tree, indent=2)
+
+
+class _Dict(dict):
+    pass
+
+
+_FLAT = [{"a": 1, "b": "x}"}, {"a": [], "b": {}}, {"c": None, "d": -0.5}]
+
+
+@pytest.mark.parametrize("c_encoder", [cli.c_make_encoder, None], ids=["c", "fallback"])
+@pytest.mark.parametrize("items", [
+    _FLAT,  # one whole run
+    _FLAT + [{"a": {"b": 1}}],  # a run, then a nested dict only the last item shows
+    _FLAT[:1] + [_Dict(a=1)] + _FLAT[1:],  # a dict subclass inside a run
+    tuple(_FLAT),  # a tuple of run dicts
+], ids=["whole-run", "nested-last", "dict-subclass", "tuple"])
+def test_chunks_of_a_list_of_flat_dicts(c_encoder, items):
+    with mock.patch.object(cli, "c_make_encoder", c_encoder):
+        for tree in (items, {"k": items}, [[items, 1]]):
+            assert "".join(cli._chunks(tree)) == json.dumps(tree, indent=2)
 
 
 def test_triangle_csv_row_count(capsys):

@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 from math import comb
@@ -5,10 +6,12 @@ from math import comb
 import pytest
 
 from gwbinom.arith import big_binomial
+from gwbinom.cli import main
 from gwbinom.coefficients import (
     correction_parity,
     half_central_hyperbolic,
     triangle,
+    triangle_rows,
     twisted_closed,
     twisted_correction_parity,
     twisted_oracle,
@@ -140,7 +143,24 @@ def test_triangle_row_walk_matches_fresh_binomials():
                                                                  ["1", "1+u", "1"]]
 
 
-def test_triangle_and_closed_form_share_one_definition(monkeypatch):
+def test_triangle_rows_are_the_triangles_classes():
+    # triangle is the coefficient view of triangle_rows, and each mirrored
+    # cell holds the very GWElem of its partner in the walked half
+    rows = triangle_rows(40)
+    assert rows == [[c.value for c in row] for row in triangle(40)]
+    assert all(row[n - j] is row[j] for n, row in enumerate(rows) for j in range(n + 1))
+    with pytest.raises(ValueError, match="MAX_ROWS"):
+        triangle_rows(1001)
+
+
+def _cli_triangle_classes(capsys, rows: int) -> list[list[tuple[int, str]]]:
+    # (rank, display) of every cell of the triangle command's JSON
+    assert main(["triangle", "--rows", str(rows), "--format", "json"]) == 0
+    cells = json.loads(capsys.readouterr().out)["triangle"]
+    return [[(c["rank"], c["display"]) for c in row] for row in cells]
+
+
+def test_triangle_and_closed_form_share_one_definition(monkeypatch, capsys):
     import gwbinom.coefficients as coefficients
 
     before = triangle(40)
@@ -150,6 +170,9 @@ def test_triangle_and_closed_form_share_one_definition(monkeypatch):
     after = triangle(40)
     closed = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(40)]
     assert after == closed
+    assert triangle_rows(40) == [[c.value for c in row] for row in closed]
+    assert _cli_triangle_classes(capsys, 40) == [[(c.value.rank, c.display) for c in row]
+                                                 for row in closed]
     changed = {(c.n, c.j) for row, old in zip(after, before) for c, o in zip(row, old) if c != o}
     assert changed == {(n, j) for n in range(0, 40, 2) for j in range(1, n, 2)
                        if not correction_parity(n, j)}
@@ -169,7 +192,7 @@ def test_triangle_and_closed_form_share_one_definition(monkeypatch):
     assert calls == [(5, 2)]
 
 
-def test_every_class_comes_from_one_constructor(monkeypatch):
+def test_every_class_comes_from_one_constructor(monkeypatch, capsys):
     # with _corrected patched, every closed form, oracle, triangle cell and
     # route returns its value, so no class is built any other way
     import gwbinom.coefficients as coefficients
@@ -188,12 +211,17 @@ def test_every_class_comes_from_one_constructor(monkeypatch):
     assert calls[-1] == (70, 1)
     assert twisted_oracle(3).value == marker
     assert all(c.value == marker for row in triangle(12) for c in row)
+    assert all(v == marker for row in triangle_rows(12) for v in row)
     for twisted, routes in coefficients.ROUTES.items():
         n, j = (6, 3) if twisted else (8, 3)
         for name, route in routes:
             calls.clear()
             assert route(n, j, 2) == marker, (twisted, name)
             assert calls and calls[-1][0] == comb(n, j), (twisted, name)
+    # the marker has no display, so the CLI's JSON is checked with one that has
+    shown = gw_from_coeffs(40, 3)
+    monkeypatch.setattr(coefficients, "_corrected", lambda rank, correction: shown)
+    assert _cli_triangle_classes(capsys, 12) == [[(43, "42+u")] * (n + 1) for n in range(12)]
 
 
 def test_closed_equals_oracle_small():
