@@ -41,6 +41,7 @@ from .necklaces import check_enumeration, orbit_catalog
 
 FORMATS = ("text", "json", "csv")
 MAX_Q = 10**10  # --q is checked by trial division: sqrt(MAX_Q) steps, about 0.04 s
+MAX_TWISTED_J = 4000  # max_j^2 work; --max-j 4000 as JSON: about 2.5-2.8 s, 71 MB (Python 3.11.7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,6 +243,9 @@ def _cmd_twisted(args) -> int:
     if args.oracle:
         check_enumeration(2 * args.max_j, args.max_j)
     _check_printable(2 * args.max_j, args.max_j)
+    if args.max_j > MAX_TWISTED_J:
+        raise ValueError(f"--max-j {args.max_j} exceeds the twisted-sequence budget"
+                         f" of {MAX_TWISTED_J} (MAX_TWISTED_J)")
     cells = [twisted_closed(j) for j in range(1, args.max_j + 1)]
     oracles = [twisted_oracle(j) for j in range(1, args.max_j + 1)] if args.oracle else []
     agree = all(a.value == b.value for a, b in zip(cells, oracles))

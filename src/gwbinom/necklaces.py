@@ -25,7 +25,9 @@ the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
 Orbits come from one enumerator, _necklaces, the FKM necklace generator
-with O(n) state.  Given a blue count it is pruned to that density and
+with O(n) state.  Given a blue count it walks the cell's gap sequences,
+the runs of red beads before each blue one read from the top bit, with
+larger gaps ranking first (Ruskey and Sawada's fixed-density form), and
 yields each rotation orbit of the cell once, as its least mask and
 period, in ascending mask order.  Given none it yields every n-bit
 prenecklace, and so meets each Lyndon word of length at most n once;
@@ -55,9 +57,9 @@ from .arith import _require_int, _require_positive, mobius
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
 # Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
-# process RSS): enumerate_orbits(24, 12) 0.82-1.23 s in 32 MB; in 16 MB each,
-# count_even_twisted_orbits(12) 0.29-0.40 s and even_orbit_counts(24), the walk
-# over the 1,465,020 prenecklaces that counts every row up to 24, 0.67-0.97 s.
+# process RSS): enumerate_orbits(24, 12) 0.40-0.44 s in 31 MB; in 14 MB each,
+# count_even_twisted_orbits(12) 0.10 s and even_orbit_counts(24), the walk
+# over the 1,465,020 prenecklaces that counts every row up to 24, 0.36 s.
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -286,20 +288,29 @@ def _necklaces(n: int, j: int | None = None):
     every n-bit prenecklace, ascending.
 
     Read MSB first, the least mask is the lexicographically least rotation
-    of its word, a necklace.  The FKM recursion over {0, 1} grows a[1..n]
-    in lex order as a prenecklace with Lyndon prefix length p: bit t copies
-    a[t - p] or, where that is 0, is 1 and sets p = t; the word is a
+    of its word, a necklace.  The FKM recursion grows a word a[1..n] in lex
+    order as a prenecklace with Lyndon prefix length p: letter t copies
+    a[t - p] or is any larger letter and sets p = t; the word is a
     necklace of period p when p divides n.  A prenecklace is the first n
     bits of w w w ... for the Lyndon word w of its first p bits, and the
     walk meets each Lyndon word of length p <= n once, so it meets every
     necklace of every row k <= n, as a power of one of them.
 
-    Pruned by density, the recursion runs as a loop over arrays of length
-    n + 1: the bits left must hold the missing ones, which forces a 1, and
-    a necklace with j > 0 ends in a 1, so a proper prefix holds fewer than
-    j ones.  Unpruned, it runs as its successor rule: drop the trailing
-    ones of a prenecklace and add one, which gives the next Lyndon word,
-    and repeat that word to n bits.  Either way the state is O(n).
+    Unpruned, the recursion over bits runs as its successor rule: drop the
+    trailing ones of a prenecklace and add one, which gives the next
+    Lyndon word, and repeat that word to n bits.  Given j, it runs over the
+    cell's gap sequence instead, the block form of Ruskey and Sawada
+    (SIAM J. Comput. 29, 1999): g[t] is the number of zeros before the
+    t-th one, j gaps that sum to n - j.  A necklace with j >= 1 ones ends
+    in a 1, so its word is the j blocks 0^g[t] 1; its least rotation starts
+    at a block, two such words compare block by block, and a larger gap is
+    the smaller block.  So the cell's necklaces, ascending, are the FKM
+    walk over gaps with larger gaps ranking first, and a gap Lyndon prefix
+    of length p with p | j is a period of n * p / j bits.  g[1] is the
+    largest gap, so gaps t + 1 .. j hold at most g[1] * (j - t) zeros,
+    which prunes the walk; the last gap takes the zeros left and is kept
+    when it does not exceed its copy source.  j = 0 and j = 1 give one
+    necklace each.  Either walk is a loop with O(n) state.
     """
     if j is None:
         # w repeated ceil(n / p) times, cut to its top n bits
@@ -313,38 +324,59 @@ def _necklaces(n: int, j: int | None = None):
             if tail == n:
                 return
             w, p = (m >> tail) + 1, n - tail
-    a = [0] * (n + 1)  # a[0] = 0 lets bit 1 be either bit, with p = 1
-    per = [1] * (n + 1)  # per[t]: Lyndon-prefix length of a[1..t]
-    ones = [0] * (n + 1)  # ones[t]: ones among a[1..t]
-    mask = [0] * (n + 1)  # mask[t]: a[1..t] read MSB first
-    # a[1..t] holds lo[t] .. hi[t] ones; a 1 forced below lo[t] reaches it
-    lo, hi = range(j - n, j + 1), [max(j - 1, 0)] * n + [j]
-    t, bump = 1, 0  # bump = 1 when backtracking demands a 1 at t
-    while t:
-        p, c, m = per[t - 1], ones[t - 1], mask[t - 1]
-        while t <= n:
-            x = a[t - p]
-            b = x | bump | (c < lo[t])
-            c += b
-            if c > hi[t]:
-                break
-            if b != x:
-                p = t
-            m = 2 * m + b
-            a[t] = b
-            per[t] = p
-            ones[t] = c
-            mask[t] = m
-            t, bump = t + 1, 0
-        else:
-            if n % p == 0:
-                yield m, p
-        # back up to the last copied 0, the next branch puts a 1 there;
-        # a[0] = 0 stops the walk
-        t -= 1
-        while a[t]:
+    zeros = n - j
+    if j < 2:
+        yield j, n if j else 1
+        return
+    g = [0] * j  # g[t]: the zeros before blue t; g[0] is never read
+    per = [1] * j  # per[t]: Lyndon-prefix length of g[1..t]
+    rem = [0] * j  # rem[t]: the zeros left after g[1..t]
+    mask = [1] * j  # mask[t]: the word of g[1..t], read MSB first
+    # g[1], the largest gap, runs from all the zeros down to its least share
+    for top in range(zeros, -(-zeros // j) - 1, -1):
+        g[1], rem[1] = top, zeros - top
+        t = 2
+        while True:
+            p, r, m = per[t - 1], rem[t - 1], mask[t - 1]
+            # first branch: copy g[t - p], or take every zero left if fewer
+            while t < j:
+                x = g[t - p]
+                if x > r:
+                    x, p = r, t
+                if r - x > top * (j - t):
+                    break
+                r -= x
+                m = m << x + 1 | 1
+                g[t] = x
+                per[t] = p
+                rem[t] = r
+                mask[t] = m
+                t += 1
+            else:
+                # the last gap takes the zeros left, at most its copy source
+                x = g[j - p]
+                if r <= x:
+                    if r < x:
+                        p = j
+                    if j % p == 0:
+                        yield m << r + 1 | 1, n * p // j
+            # back up to the last gap that can shrink and still leave room:
+            # the next branch there is one zero shorter and starts a new
+            # Lyndon prefix
             t -= 1
-        bump = 1
+            while t > 1:
+                x = g[t] - 1
+                r = rem[t - 1] - x
+                if x >= 0 and r <= top * (j - t):
+                    break
+                t -= 1
+            else:
+                break
+            g[t] = x
+            per[t] = t
+            rem[t] = r
+            mask[t] = mask[t - 1] << x + 1 | 1
+            t += 1
 
 
 def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:

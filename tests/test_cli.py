@@ -323,6 +323,17 @@ def test_triangle_rows_beyond_budget_fail_before_output(capsys, fmt):
     assert "budget of 1000 (MAX_ROWS)" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_twisted_max_j_beyond_budget_fails_before_output(capsys, monkeypatch, fmt):
+    def no_cell(j):
+        raise AssertionError("sequence started")
+
+    monkeypatch.setattr("gwbinom.cli.twisted_closed", no_cell)
+    code, out, err = run(capsys, "twisted", "--max-j", "4001", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "budget of 4000 (MAX_TWISTED_J)" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "8", "--twisted-max-j", "4")
     assert code == 0

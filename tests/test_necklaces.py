@@ -190,6 +190,48 @@ def test_counts_invariant_under_rerooting():
                     assert again == rec
 
 
+def _least_turn(word):
+    """The least rotation of word and its period, by rotating the string."""
+    n = len(word)
+    turns = [word[k:] + word[:k] for k in range(n)]
+    return min(turns), next(k for k in range(1, n + 1) if turns[k % n] == word)
+
+
+def test_gap_walk_matches_brute_force():
+    # every cell with n <= 14 against the least rotations of all C(n, j) masks
+    for n in range(1, 15):
+        for j in range(n + 1):
+            found = set()
+            for ones in itertools.combinations(range(n), j):
+                least, period = _least_turn("".join("1" if i in ones else "0" for i in range(n)))
+                found.add((int(least, 2), period))
+            assert list(_necklaces(n, j)) == sorted(found), (n, j)
+
+
+def test_gap_walk_at_the_word_width():
+    n = 63
+    for j in (0, 1, 2, 61, 62, 63):
+        walk = list(_necklaces(n, j))
+        g = gcd(n, j)
+        assert len(walk) == sum(aperiodic_count(n // d, j // d) for d in range(1, g + 1) if g % d == 0), j
+        for least, period in walk:
+            word = f"{least:0{n}b}"
+            assert word.count("1") == j
+            assert _least_turn(word) == (word, period), (j, word)
+
+
+def test_gap_walk_is_lazy():
+    # the walk keeps O(n) state: a list of the 32,066 pairs of (22, 11)
+    # would peak near 3 MB
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in _necklaces(22, 11)) == 32066
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 def test_count_even_orbits_examples():
     assert count_even_orbits(4, 1) == 1
     assert count_even_orbits(4, 2) == 2
@@ -197,11 +239,12 @@ def test_count_even_orbits_examples():
 
 
 def test_row_walk_matches_the_density_pruned_cells():
-    # one unpruned walk to n = 18 against a walk pruned to each cell of every
-    # row k <= 18; row 0, the empty necklace, has no even orbit
-    rows = even_orbit_counts(18)
+    # two algorithms: one unpruned successor-rule walk to n = 20 against the
+    # gap walk of each cell of every row k <= 20; row 0, the empty necklace,
+    # has no even orbit
+    rows = even_orbit_counts(20)
     assert rows[0] == [0]
-    for k in range(1, 19):
+    for k in range(1, 21):
         assert rows[k] == [count_even_orbits(k, j) for j in range(k + 1)], k
     assert even_orbit_counts(4) == rows[:5]
     with pytest.raises(EnumerationLimitError, match="budget"):
