@@ -4,7 +4,7 @@ A necklace is a length-n circular word over {blue, red} with bead 0 at the
 top; positions run counterclockwise.  Bead sets are stored as bitmasks
 (bit p set = bead p blue), so rotation is a word rotate and the encoding
 caps n at the word width of 63 beads.  Only the mask primitives (the
-rotations, the orbit steps and the necklace generator) and the word form,
+rotations, the orbit steps and the necklace walks) and the word form,
 _word (behind Necklace.bitstring) and its inverse _from_word, rely on
 that layout; every other relabelling of beads (each reflection r^m f, by
 _reflect, the interleave halves, cutting out or splicing in axis beads,
@@ -25,20 +25,19 @@ the twisted orbits in which one group step rotates a single bead and then
 swaps the two colors.
 
 Orbits come from one enumerator, _necklaces, the FKM necklace generator
-with O(n) state.  Given a blue count it walks the cell's gap sequences,
-the runs of red beads before each blue one read from the top bit, with
-larger gaps ranking first (Ruskey and Sawada's fixed-density form), and
-yields each rotation orbit of the cell once, as its least mask and
-period, in ascending mask order.  Given none it yields every n-bit
-prenecklace, and so meets each Lyndon word of length at most n once;
-even_orbit_counts counts the even-period orbits of every cell of every
-row up to n from that one walk, since each necklace is a power of one
+with O(n) state.  It walks a cell's gap sequences, the runs of red beads
+before each blue one read from the top bit, with larger gaps ranking
+first (Ruskey and Sawada's fixed-density form), and yields each rotation
+orbit of the cell once, as its least mask and period, in ascending mask
+order.  even_orbit_counts counts the even-period orbits of every cell of
+every row up to n from one tally of the Lyndon words of length at most
+n by popcount, _lyndon_counts, since each necklace is a power of one
 Lyndon word.  The twisted orbits are walked by the one orbit walk,
 _cycle, from the necklaces' least masks and their one-bead rotations,
 since two twisted steps make a two-bead rotation; counting the even ones
 walks no orbit, since a necklace's period and one rotation by half of it
-give its twisted length.  No enumeration keeps a set of the points it has
-met.
+give its twisted length, _twisted_lengths.  No enumeration keeps a set of
+the points it has met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration,
 every enumerator's one gate, refuses a non-cell, n beyond the 63-bit encoding
@@ -57,9 +56,9 @@ from .arith import _require_int, _require_positive, mobius
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
 # Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
-# process RSS): enumerate_orbits(24, 12) 0.40-0.44 s in 31 MB; in 14 MB each,
-# count_even_twisted_orbits(12) 0.10 s and even_orbit_counts(24), the walk
-# over the 1,465,020 prenecklaces that counts every row up to 24, 0.36 s.
+# process RSS): enumerate_orbits(24, 12) 0.50-0.64 s in 32 MB; in 16 MB each,
+# count_even_twisted_orbits(12) 0.12-0.13 s and even_orbit_counts(24), the tally
+# over the 1,465,020 prenecklaces that counts every row up to 24, 0.35-0.46 s.
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -172,21 +171,25 @@ def _twisted_step(n: int):
     return lambda m: (((m << 1) & full) | (m >> (n - 1))) ^ full
 
 
-def _twisted_length(mask: int, n: int, period: int) -> int:
-    """Length of the twisted orbit through a balanced n-bit mask, with no
-    walk.  t twisted steps are a t-bead rotation and t color swaps.  An even
-    t closes the orbit when the period p divides t; an odd t when rotating
-    by t swaps the colors, so twice t is a multiple of p but t is not, and
-    t is an odd multiple of p/2.  A balanced word has even period, so the
-    orbit closes at p/2 when p/2 is odd and that rotation swaps the colors,
-    and at p otherwise."""
-    half = period // 2
+def _twisted_lengths(n: int, j: int):
+    """Yield the twisted length of each necklace of the balanced (n, j)
+    cell, in the order of _necklaces, with no walk: the length of the
+    orbits through its least mask and through that mask's one-bead
+    rotation alike.  t twisted steps are a t-bead rotation and t color
+    swaps.  An even t closes the orbit when the period p divides t; an odd
+    t when rotating by t swaps the colors, so twice t is a multiple of p
+    but t is not, and t is an odd multiple of p/2.  A balanced word has
+    even period, so the orbit closes at p/2 when p/2 is odd and that
+    rotation swaps the colors, and at p otherwise."""
     full = (1 << n) - 1
-    length = half if half % 2 and _rot_mask(mask, n, half) == mask ^ full else period
-    # n twisted steps are the identity
-    if n % length:
-        raise RuntimeError(f"twisted length {length} does not divide {n}")
-    return length
+    for mask, period in _necklaces(n, j):
+        half = period // 2
+        swaps = half % 2 and (mask << half | mask >> n - half) & full == mask ^ full
+        length = half if swaps else period
+        # n twisted steps are the identity
+        if n % length:
+            raise RuntimeError(f"twisted length {length} does not divide {n}")
+        yield length
 
 
 def _cycle(start, step) -> list:
@@ -282,48 +285,51 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
     return Fraction(min(min(d, n - d) for d in separations), 2)
 
 
-def _necklaces(n: int, j: int | None = None):
+def _lyndon_counts(n: int) -> list[list[int]]:
+    """counts[p][i], the number of Lyndon words of length p with i ones, for
+    every p = 0..n, from one loop with no call per word.  Read MSB first,
+    each n-bit prenecklace is the first n bits of w w w ... for the Lyndon
+    word w of its first p bits, one prenecklace per w of length p <= n; the
+    FKM recursion of _necklaces, run over bits, steps between them by its
+    successor rule (Ruskey, Savage and Wang, J. Algorithms 13, 1992): drop
+    the trailing ones and add one, which gives the next Lyndon word, and
+    repeat that word to n bits."""
+    # w repeated ceil(n / p) times, cut to its top n bits
+    reps = [0] + [((1 << p * -(-n // p)) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
+    cuts = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
+    counts = [[0] * (p + 1) for p in range(n + 1)]
+    w, p = 0, 1
+    while True:
+        counts[p][w.bit_count()] += 1
+        m = w * reps[p] >> cuts[p]
+        tail = (m ^ (m + 1)).bit_length() - 1  # trailing ones
+        if tail == n:
+            return counts
+        w, p = (m >> tail) + 1, n - tail
+
+
+def _necklaces(n: int, j: int):
     """Yield (least mask, period) of every rotation orbit of n-bit masks of
-    popcount j, ascending by least mask; or, when j is None, (mask, p) of
-    every n-bit prenecklace, ascending.
+    popcount j, ascending by least mask.
 
     Read MSB first, the least mask is the lexicographically least rotation
     of its word, a necklace.  The FKM recursion grows a word a[1..n] in lex
     order as a prenecklace with Lyndon prefix length p: letter t copies
     a[t - p] or is any larger letter and sets p = t; the word is a
-    necklace of period p when p divides n.  A prenecklace is the first n
-    bits of w w w ... for the Lyndon word w of its first p bits, and the
-    walk meets each Lyndon word of length p <= n once, so it meets every
-    necklace of every row k <= n, as a power of one of them.
-
-    Unpruned, the recursion over bits runs as its successor rule: drop the
-    trailing ones of a prenecklace and add one, which gives the next
-    Lyndon word, and repeat that word to n bits.  Given j, it runs over the
-    cell's gap sequence instead, the block form of Ruskey and Sawada
-    (SIAM J. Comput. 29, 1999): g[t] is the number of zeros before the
-    t-th one, j gaps that sum to n - j.  A necklace with j >= 1 ones ends
-    in a 1, so its word is the j blocks 0^g[t] 1; its least rotation starts
-    at a block, two such words compare block by block, and a larger gap is
-    the smaller block.  So the cell's necklaces, ascending, are the FKM
-    walk over gaps with larger gaps ranking first, and a gap Lyndon prefix
-    of length p with p | j is a period of n * p / j bits.  g[1] is the
-    largest gap, so gaps t + 1 .. j hold at most g[1] * (j - t) zeros,
-    which prunes the walk; the last gap takes the zeros left and is kept
-    when it does not exceed its copy source.  j = 0 and j = 1 give one
-    necklace each.  Either walk is a loop with O(n) state.
+    necklace of period p when p divides n.  Here it runs over the cell's
+    gap sequence, the block form of Ruskey and Sawada (SIAM J. Comput. 29,
+    1999): g[t] is the number of zeros before the t-th one, j gaps that
+    sum to n - j.  A necklace with j >= 1 ones ends in a 1, so its word is
+    the j blocks 0^g[t] 1; its least rotation starts at a block, two such
+    words compare block by block, and a larger gap is the smaller block.
+    So the cell's necklaces, ascending, are the FKM walk over gaps with
+    larger gaps ranking first, and a gap Lyndon prefix of length p with
+    p | j is a period of n * p / j bits.  g[1] is the largest gap, so gaps
+    t + 1 .. j hold at most g[1] * (j - t) zeros, which prunes the walk;
+    the last gap takes the zeros left and is kept when it does not exceed
+    its copy source.  j = 0 and j = 1 give one necklace each.  The walk is
+    a loop with O(n) state.
     """
-    if j is None:
-        # w repeated ceil(n / p) times, cut to its top n bits
-        reps = [0] + [((1 << p * -(-n // p)) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
-        cuts = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
-        w, p = 0, 1
-        while True:
-            m = w * reps[p] >> cuts[p]
-            yield m, p
-            tail = (m ^ (m + 1)).bit_length() - 1  # trailing ones
-            if tail == n:
-                return
-            w, p = (m >> tail) + 1, n - tail
     zeros = n - j
     if j < 2:
         yield j, n if j else 1
@@ -394,20 +400,14 @@ def count_even_orbits(n: int, j: int) -> int:
 
 def even_orbit_counts(n: int) -> list[list[int]]:
     """rows[k][j], the number of rotation orbits of k-bit masks of popcount
-    j with even period, for every k = 0..n, from one walk over the n-bit
-    prenecklaces.  A k-bead necklace of period p is w^(k/p) for the Lyndon
-    word w of its first p bits, and the walk meets each such w once.  Row 0
-    is the empty necklace, one orbit of odd period one.  The largest cell,
-    (n, n // 2), must fit the enumeration budget."""
+    j with even period, for every k = 0..n, from one walk, _lyndon_counts:
+    a k-bead necklace of period p is w^(k/p) for a Lyndon word w of length
+    p.  Row 0 is the empty necklace, one orbit of odd period one.  The
+    largest cell, (n, n // 2), must fit the enumeration budget."""
     check_enumeration(n, n // 2)
-    # even-length Lyndon words by length and popcount
-    words = [[0] * (p + 1) for p in range(n + 1)]
-    for m, p in _necklaces(n):
-        if p % 2 == 0:
-            words[p][(m >> (n - p)).bit_count()] += 1
     rows = [[0] * (k + 1) for k in range(n + 1)]
-    for p in range(2, n + 1, 2):
-        for ones, count in enumerate(words[p]):
+    for p, words in zip(range(2, n + 1, 2), _lyndon_counts(n)[2::2]):
+        for ones, count in enumerate(words):
             for k in range(p, n + 1, p):
                 rows[k][ones * k // p] += count
     return rows
@@ -675,9 +675,9 @@ def count_even_twisted_orbits(j: int) -> int:
     an orbit joins a two-bead-rotation half of one necklace with the color
     swap of its other half, so these orbits match one for one the necklaces
     whose twisted length is even.  That length is an O(1) test on the
-    necklace's least mask and period, by `_twisted_length`."""
+    necklace's least mask and period, by `_twisted_lengths`."""
     n = _balanced_cell(j)
-    return sum(_twisted_length(least, n, period) % 2 == 0 for least, period in _necklaces(n, j))
+    return sum(length % 2 == 0 for length in _twisted_lengths(n, j))
 
 
 def count_even_twisted_swap_fixed(j: int) -> int:

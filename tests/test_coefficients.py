@@ -318,10 +318,11 @@ def test_verify_rejects_jobs_below_one():
 
 
 def test_verify_over_budget_fails_before_enumerating(monkeypatch):
-    def no_enumeration(n, j):
+    def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._lyndon_counts", no_enumeration)
     for max_n, max_j in ((25, 0), (4, 13)):
         with pytest.raises(EnumerationLimitError, match="budget"):
             verify(max_n, max_j)
@@ -388,17 +389,22 @@ def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
 def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
     import gwbinom.necklaces as necklaces
 
-    walk = necklaces._necklaces
+    rows, walk = necklaces._lyndon_counts, necklaces._necklaces
     calls = []
 
-    def counted(n, j=None):
+    def counted_rows(n):
+        calls.append(("rows", n))
+        return rows(n)
+
+    def counted(n, j):
         calls.append((n, j))
         return walk(n, j)
 
+    monkeypatch.setattr(necklaces, "_lyndon_counts", counted_rows)
     monkeypatch.setattr(necklaces, "_necklaces", counted)
     assert verify(8, 3).ok
-    # one unpruned walk to max_n, and one density-pruned count per twisted j
-    assert calls == [(8, None), (2, 1), (4, 2), (6, 3)]
+    # one row walk to max_n, and one gap walk per twisted j
+    assert calls == [("rows", 8), (2, 1), (4, 2), (6, 3)]
 
 
 def test_verify_parallel_matches_serial():

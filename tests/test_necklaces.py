@@ -18,10 +18,11 @@ from gwbinom.necklaces import (
     EnumerationLimitError,
     Necklace,
     _cycle,
+    _lyndon_counts,
     _necklaces,
     _reflect,
     _rot_mask,
-    _twisted_length,
+    _twisted_lengths,
     _twisted_step,
     aperiodic_count,
     axis_distance,
@@ -255,17 +256,36 @@ def test_row_walk_matches_the_density_pruned_cells():
 
 def test_unpruned_walk_meets_each_lyndon_word_once():
     # a Lyndon word is a word strictly less than each of its proper rotations;
-    # the walk yields it as the first p bits of w w w ... cut to n bits
+    # the successor walk tallies each one of length p <= n once, by popcount
     for n in range(1, 13):
-        lyndon = sorted(
-            (word, len(word))
-            for p in range(1, n + 1)
-            for word in map("".join, itertools.product("01", repeat=p))
-            if all(word < word[i:] + word[:i] for i in range(1, p))
-        )
-        walk = [(f"{m:0{n}b}", p) for m, p in _necklaces(n)]
-        assert [(word[:p], p) for word, p in walk] == lyndon, n
-        assert all(word == (word[:p] * n)[:n] for word, p in walk), n
+        lyndon = [[0] * (p + 1) for p in range(n + 1)]
+        for p in range(1, n + 1):
+            for word in map("".join, itertools.product("01", repeat=p)):
+                if all(word < word[i:] + word[:i] for i in range(1, p)):
+                    lyndon[p][word.count("1")] += 1
+        assert _lyndon_counts(n) == lyndon, n
+
+
+def test_lyndon_tally_matches_moreaus_formula():
+    # the successor walk against Moebius inversion, at every length to 20
+    counts = _lyndon_counts(20)
+    for p in range(1, 21):
+        assert counts[p] == [aperiodic_count(p, i) for i in range(p + 1)], p
+
+
+def test_row_walk_makes_no_call_per_prenecklace():
+    # even_orbit_counts(16) meets 14,000 prenecklaces; a Python call per
+    # prenecklace would show as thousands of call events
+    import sys
+
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+    try:
+        rows = even_orbit_counts(16)
+    finally:
+        sys.setprofile(None)
+    assert rows[16][8] == count_even_orbits(16, 8)
+    assert len(calls) < 30, len(calls)
 
 
 def test_odd_bead_count_has_no_even_orbits():
@@ -356,6 +376,7 @@ def test_gated_enumerators_refuse_before_enumerating(monkeypatch, name):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._lyndon_counts", no_enumeration)
     enumerator = _GATED[name]
     refusals = [
         (0, 0, ValueError, "positive n required, got 0"),
@@ -777,22 +798,25 @@ def test_twisted_length_equals_the_walk():
     for j in range(1, 11):
         n = 2 * j
         step = _twisted_step(n)
-        for least, period in _necklaces(n, j):
+        for (least, _), length in zip(_necklaces(n, j), _twisted_lengths(n, j), strict=True):
             for start in (least, _rot_mask(least, n, 1)):
-                assert _twisted_length(start, n, period) == len(_cycle(start, step)), (j, start)
+                assert length == len(_cycle(start, step)), (j, start)
 
 
-def test_half_period_twisted_length_on_the_row_walk():
-    # the balanced necklaces among the unpruned walk's prenecklaces, those
-    # whose period divides n: the half-period test must agree with the
-    # orbit walk there too
-    for j in range(1, 10):
+def test_half_period_twisted_length_on_the_row_walk(monkeypatch):
+    # the half-period test fed balanced necklaces found by rotating strings,
+    # not by the gap walk, must agree with the orbit walk there too
+    for j in range(1, 9):
         n = 2 * j
         step = _twisted_step(n)
-        balanced = [(m, p) for m, p in _necklaces(n) if n % p == 0 and m.bit_count() == j]
+        balanced = sorted({
+            (int(least, 2), period)
+            for ones in itertools.combinations(range(n), j)
+            for least, period in [_least_turn("".join("1" if i in ones else "0" for i in range(n)))]
+        })
         assert balanced == list(_necklaces(n, j))
-        for least, period in balanced:
-            assert _twisted_length(least, n, period) == len(_cycle(least, step)), (j, least)
+        monkeypatch.setattr("gwbinom.necklaces._necklaces", lambda n, j: iter(balanced))
+        assert list(_twisted_lengths(n, j)) == [len(_cycle(m, step)) for m, _ in balanced], j
 
 
 def test_even_twisted_count_matches_the_records():
@@ -813,6 +837,15 @@ def test_even_twisted_count_walks_no_orbit(monkeypatch):
         raise AssertionError("orbit walked")
 
     monkeypatch.setattr("gwbinom.necklaces._cycle", no_walk)
+    assert count_even_twisted_orbits(9) == 2674
+
+
+def test_even_twisted_count_makes_no_rotation_call(monkeypatch):
+    # the half-period rotation is written out in the loop, not called per necklace
+    def no_rotation(mask, n, k):
+        raise AssertionError("rotation called")
+
+    monkeypatch.setattr("gwbinom.necklaces._rot_mask", no_rotation)
     assert count_even_twisted_orbits(9) == 2674
 
 
