@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
@@ -276,8 +277,6 @@ def test_lyndon_tally_matches_moreaus_formula():
 def test_row_walk_makes_no_call_per_prenecklace():
     # even_orbit_counts(16) meets 14,000 prenecklaces; a Python call per
     # prenecklace would show as thousands of call events
-    import sys
-
     calls = []
     sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
     try:
