@@ -802,17 +802,30 @@ def test_twisted_length_equals_the_walk():
                 assert length == len(_cycle(start, step)), (j, start)
 
 
+def _least_masks(n, j):
+    """The necklaces of n beads with j blues, by rotating int masks: each of
+    the C(n, j) masks that is the least of its rotations, with its period."""
+    full = (1 << n) - 1
+    found = []
+    for ones in itertools.combinations(range(n), j):
+        mask = sum(1 << i for i in ones)
+        m = mask
+        for k in range(1, n + 1):
+            m = ((m << 1) & full) | (m >> (n - 1))
+            if m <= mask:
+                break
+        if m == mask:
+            found.append((mask, k))
+    return sorted(found)
+
+
 def test_half_period_twisted_length_on_the_row_walk(monkeypatch):
-    # the half-period test fed balanced necklaces found by rotating strings,
+    # the half-period test fed balanced necklaces found by rotating masks,
     # not by the gap walk, must agree with the orbit walk there too
-    for j in range(1, 9):
+    for j in range(1, 10):
         n = 2 * j
         step = _twisted_step(n)
-        balanced = sorted({
-            (int(least, 2), period)
-            for ones in itertools.combinations(range(n), j)
-            for least, period in [_least_turn("".join("1" if i in ones else "0" for i in range(n)))]
-        })
+        balanced = _least_masks(n, j)
         assert balanced == list(_necklaces(n, j))
         monkeypatch.setattr("gwbinom.necklaces._necklaces", lambda n, j: iter(balanced))
         assert list(_twisted_lengths(n, j)) == [len(_cycle(m, step)) for m, _ in balanced], j
@@ -832,19 +845,13 @@ def test_even_twisted_count_sequence():
 
 
 def test_even_twisted_count_walks_no_orbit(monkeypatch):
-    def no_walk(start, step):
-        raise AssertionError("orbit walked")
+    # neither an orbit walk nor a rotation call per necklace: the
+    # half-period rotation is written out in the loop
+    def refuse(*args):
+        raise AssertionError("orbit walked or rotation called")
 
-    monkeypatch.setattr("gwbinom.necklaces._cycle", no_walk)
-    assert count_even_twisted_orbits(9) == 2674
-
-
-def test_even_twisted_count_makes_no_rotation_call(monkeypatch):
-    # the half-period rotation is written out in the loop, not called per necklace
-    def no_rotation(mask, n, k):
-        raise AssertionError("rotation called")
-
-    monkeypatch.setattr("gwbinom.necklaces._rot_mask", no_rotation)
+    monkeypatch.setattr("gwbinom.necklaces._cycle", refuse)
+    monkeypatch.setattr("gwbinom.necklaces._rot_mask", refuse)
     assert count_even_twisted_orbits(9) == 2674
 
 
