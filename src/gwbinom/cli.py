@@ -5,13 +5,13 @@ CSV output where it makes sense.  Each subcommand computes its data and
 exit code, then makes one call to the single renderer, ``_emit``, which
 builds only the requested format and is the one writer of stdout.  JSON
 is streamed: ``_chunks`` cuts the bytes of ``json.dumps`` with indent=2
-into pieces the size of a row or of a run of flat dicts, each run one
-C-encoder call, and ``_emit`` hands them to ``writelines``, so no string
-of the whole document is ever held.  Exit codes: 0 success / full
-agreement, 1 closed-vs-oracle divergence, 2 usage or enumeration-limit
-errors, 141 when the reader closes stdout early (as under SIGPIPE).  The
-base field never enters the numbers, so --q only checks that the field
-order is an odd prime power.
+into pieces the size of a row or of a run of flat dicts, each run found
+with no Python call per item and encoded in one C-encoder call, and
+``_emit`` hands them to ``writelines``, so no string of the whole document
+is ever held.  Exit codes: 0 success / full agreement, 1 closed-vs-oracle
+divergence, 2 usage or enumeration-limit errors, 141 when the reader
+closes stdout early (as under SIGPIPE).  The base field never enters the
+numbers, so --q only checks that the field order is an odd prime power.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import csv
 import json
 import os
 import sys
-from itertools import chain, groupby, zip_longest
+from itertools import chain, compress, count, repeat, zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
+from operator import not_
 
 from .arith import _smallest_factor, valuation
 from .coefficients import (
@@ -100,6 +101,8 @@ def _chunks(obj):
     of non-empty such dicts is one call at the dicts' indent, whose
     "}" + separator + "{" seams are re-broken onto their own lines: escaped
     strings hold no newline, so only the seam between two dicts matches.
+    On a list of non-empty plain dicts, passes of C functions find one whole
+    run or the nested dicts that cut the runs, with no Python call per item.
     A dict streams its members and a list yields one piece per item or run,
     so the pieces are members, rows, runs and closing brackets, not one per
     token."""
@@ -113,8 +116,10 @@ def _chunks(obj):
             None, None, encode_basestring_ascii, None, ": ", sep, False, False, True))
         return "".join(e(o, 0))
 
+    containers = frozenset({dict, list, tuple})  # opened when not empty
+
     def flat(items) -> bool:
-        return {dict, list, tuple}.isdisjoint(map(type, filter(None, items)))
+        return containers.isdisjoint(map(type, filter(None, items)))
 
     def run_key(v) -> bool:  # a non-empty dict of scalars and empty containers
         return type(v) is dict and bool(v) and flat(v.values())
@@ -139,18 +144,24 @@ def _chunks(obj):
         else:
             inner = sep + "  "
             seam = f"{sep[1:]}}}{sep}{{{inner[1:]}"
-            # a list that is one whole run is told by C-level passes, not run_key per item
-            whole = (set(map(type, o)) == {dict} and all(o)
-                     and flat(chain.from_iterable(map(dict.values, o))))
-            for is_run, group in [(True, o)] if whole else groupby(o, run_key):
-                if is_run:
-                    body = enc(list(group), inner)[2:-2].replace("}" + inner + "{", seam)
-                    pieces = [f"{{{inner[1:]}{body}{sep[1:]}}}"]
-                else:
-                    pieces = ("".join(chunks(v, sep, "")) for v in group)
-                for piece in pieces:
-                    yield head + piece
+            if set(map(type, o)) == {dict} and all(o):
+                whole = flat(chain.from_iterable(map(dict.values, o)))
+                # flat(v.values()) per v, by maps of C functions; nested v cut runs
+                flags = map(containers.isdisjoint,
+                            map(map, repeat(type), map(filter, repeat(None), map(dict.values, o))))
+                cuts = () if whole else compress(count(), map(not_, flags))
+            else:
+                cuts = compress(count(), map(not_, map(run_key, o)))
+            start = 0
+            for cut in chain(cuts, [len(o)]):
+                if start < cut:  # a run
+                    body = enc(o[start:cut], inner)[2:-2].replace("}" + inner + "{", seam)
+                    yield f"{head}{{{inner[1:]}{body}{sep[1:]}}}"
                     head = sep
+                if cut < len(o):
+                    yield head + "".join(chunks(o[cut], sep, ""))
+                    head = sep
+                start = cut + 1
         yield outer[1:] + right
 
     yield from chunks(obj, ",\n", "")

@@ -16,9 +16,9 @@ word.  On top of the three generators
   * color_swap(l)    -- exchange blue and red everywhere,
 
 the module enumerates rotation orbits with their periods, reads whether
-the flip preserves an orbit, and its symmetry axes (type 1 passes between
-beads, type 2 passes through at least one bead), off one search of the
-reversed word in the doubled word (_axes), splits an
+the flip preserves an orbit off one search of the reversed word in the
+doubled word (_orbits), and its symmetry axes (type 1 passes between beads,
+type 2 through at least one bead) off the place of a hit (_axes), splits an
 even-length orbit into its two interleaved half-length orbits, strips or
 inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
@@ -129,8 +129,9 @@ class Necklace:
 
 
 def _word(mask: int, n: int) -> str:
-    """The bitstring of the n-bead necklace with blue-bead mask mask."""
-    return f"{mask:0{n}b}"[::-1]
+    """The bitstring of the n-bead necklace with blue-bead mask mask: the
+    binary digits of mask under a marker bit n, read from bit 0 up."""
+    return bin(mask | 1 << n)[:2:-1]
 
 
 def _from_word(word: str) -> Necklace:
@@ -243,16 +244,13 @@ class OrbitRecord:
         return self.canonical.j
 
 
-def _axes(word: str, period: int) -> tuple[AxisIndex, ...]:
-    """The axis classes of the orbit of word, of period period; empty when
-    the flip does not preserve the orbit.  The reversed word, _reflect(word,
-    n - 1), is the window of word + word at i, word read from bead i, exactly
-    when r^(n-1+i) f fixes word.  The fixing reflections are r^(m + t*period) f
-    for the least such m, and rotating the word shifts every m by 2, so the
-    classes are these m mod 2*period."""
-    i = (word + word).find(word[::-1])  # as one slice: this runs on every orbit
-    if i < 0:
-        return ()
+def _axes(word: str, period: int, i: int) -> tuple[AxisIndex, ...]:
+    """The axis classes of the flip-fixed orbit of word, of period period,
+    given a window i of word + word that holds the reversed word,
+    _reflect(word, n - 1), as _orbits' search finds it.  That window is
+    word read from bead i exactly when r^(n-1+i) f fixes word.  The fixing
+    reflections are r^(m + t*period) f for the least such m, and rotating
+    the word shifts every m by 2, so the classes are these m mod 2*period."""
     n = len(word)
     m = (n - 1 + i) % period
     ms = (m,) if n // period % 2 else (m, m + period)
@@ -262,14 +260,28 @@ def _axes(word: str, period: int) -> tuple[AxisIndex, ...]:
     return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in ms)
 
 
-def _rotation_record(n: int, least: int, period: int) -> OrbitRecord:
-    return OrbitRecord(Necklace(n, least), period, _axes(_word(least, n), period))
+def _orbits(n: int, pairs):
+    """Yield (least, word, period, axes) for each (least mask, period) of
+    pairs, rotation orbits of n-bead masks, with no OrbitRecord: one word
+    and one search of the reversed word in the doubled word per orbit, and
+    axes by _axes only where it hits (252 of the 32,066 orbits of (22, 11));
+    elsewhere the flip moves the orbit and axes is empty."""
+    for least, period in pairs:
+        word = _word(least, n)
+        i = (word + word).find(word[::-1])  # _reflect(word, n - 1) as one slice
+        yield least, word, period, () if i < 0 else _axes(word, period, i)
+
+
+def _records(n: int, pairs) -> tuple[OrbitRecord, ...]:
+    """The OrbitRecord of each (least mask, period) of pairs."""
+    return tuple(OrbitRecord(Necklace(n, least), period, axes)
+                 for least, _, period, axes in _orbits(n, pairs))
 
 
 def orbit_record_of(l: Necklace) -> OrbitRecord:
     """Record of the rotation orbit containing l."""
     orbit = _cycle(l.blues, lambda m: _rot_mask(m, l.size, 1))
-    return _rotation_record(l.size, min(orbit), len(orbit))
+    return _records(l.size, [(min(orbit), len(orbit))])[0]
 
 
 def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
@@ -325,10 +337,11 @@ def _necklaces(n: int, j: int):
     So the cell's necklaces, ascending, are the FKM walk over gaps with
     larger gaps ranking first, and a gap Lyndon prefix of length p with
     p | j is a period of n * p / j bits.  g[1] is the largest gap, so gaps
-    t + 1 .. j hold at most g[1] * (j - t) zeros, which prunes the walk;
-    the last gap takes the zeros left and is kept when it does not exceed
-    its copy source.  j = 0 and j = 1 give one necklace each.  The walk is
-    a loop with O(n) state.
+    t + 1 .. j hold at most room[t] = g[1] * (j - t) zeros, which prunes the
+    walk; a gap shrunk by one leaves rem[t] + 1 zeros, so backing up needs
+    no subtraction.  The last gap takes the zeros left and is kept when it
+    does not exceed its copy source.  j = 0 and j = 1 give one necklace
+    each.  The walk is a loop with O(n) state.
     """
     zeros = n - j
     if j < 2:
@@ -340,6 +353,7 @@ def _necklaces(n: int, j: int):
     mask = [1] * j  # mask[t]: the word of g[1..t], read MSB first
     # g[1], the largest gap, runs from all the zeros down to its least share
     for top in range(zeros, -(-zeros // j) - 1, -1):
+        room = [top * (j - t) for t in range(j)]  # room[t]: most zeros gaps t + 1 .. j hold
         g[1], rem[1] = top, zeros - top
         t = 2
         while True:
@@ -349,7 +363,7 @@ def _necklaces(n: int, j: int):
                 x = g[t - p]
                 if x > r:
                     x, p = r, t
-                if r - x > top * (j - t):
+                if r - x > room[t]:
                     break
                 r -= x
                 m = m << x + 1 | 1
@@ -367,21 +381,19 @@ def _necklaces(n: int, j: int):
                     if j % p == 0:
                         yield m << r + 1 | 1, n * p // j
             # back up to the last gap that can shrink and still leave room:
-            # the next branch there is one zero shorter and starts a new
-            # Lyndon prefix
+            # the next branch there is one zero shorter, leaves rem[t] + 1
+            # zeros and starts a new Lyndon prefix
             t -= 1
             while t > 1:
-                x = g[t] - 1
-                r = rem[t - 1] - x
-                if x >= 0 and r <= top * (j - t):
+                if g[t] and rem[t] < room[t]:
                     break
                 t -= 1
             else:
                 break
-            g[t] = x
+            g[t] -= 1
             per[t] = t
-            rem[t] = r
-            mask[t] = mask[t - 1] << x + 1 | 1
+            rem[t] += 1
+            mask[t] = mask[t - 1] << g[t] + 1 | 1
             t += 1
 
 
@@ -389,7 +401,7 @@ def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
     """All rotation orbits of necklaces with j blues among n beads,
     sorted by canonical bitmask."""
     check_enumeration(n, j)
-    return tuple(_rotation_record(n, least, period) for least, period in _necklaces(n, j))
+    return _records(n, _necklaces(n, j))
 
 
 def count_even_orbits(n: int, j: int) -> int:
@@ -426,19 +438,10 @@ def aperiodic_count(n: int, j: int) -> int:
     return q
 
 
-def _cell_orbits(n: int, j: int):
-    """Yield (word, period, axes) for each rotation orbit of a checked
-    (n, j) cell, ascending: one word and one _axes search per orbit, and
-    no OrbitRecord; axes is empty when the orbit is not flip-fixed."""
-    for least, period in _necklaces(n, j):
-        word = _word(least, n)
-        yield word, period, _axes(word, period)
-
-
 def odd_flip_fixed_count(n: int, j: int) -> int:
     """Number of flip-fixed orbits of odd period, by enumeration."""
     check_enumeration(n, j)
-    return sum(period % 2 for _, period, axes in _cell_orbits(n, j) if axes)
+    return sum(period % 2 for _, _, period, axes in _orbits(n, _necklaces(n, j)) if axes)
 
 
 def odd_flip_fixed_closed_form(n: int, j: int) -> int:
@@ -481,7 +484,8 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     """
     check_enumeration(n, j)
     _check_even(n)
-    return _classify_flip_fixed((period, axes) for _, period, axes in _cell_orbits(n, j) if axes)
+    return _classify_flip_fixed(
+        (period, axes) for _, _, period, axes in _orbits(n, _necklaces(n, j)) if axes)
 
 
 def _check_even(n: int) -> None:
@@ -695,15 +699,15 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     classify_flip_fixed's counts under "classification" when classify.
 
     Each orbit's dict is built from the word, period and axes that
-    _cell_orbits yields, with no OrbitRecord; the (period, axes) pairs of
-    the flip-fixed orbits, 252 of the 32,066 at (22, 11), feed the
+    _orbits yields, with no OrbitRecord; the (period, axes) pairs of the
+    flip-fixed orbits, 252 of the 32,066 at (22, 11), feed the
     classification.  With classify, an odd n is refused before any
     enumeration."""
     check_enumeration(n, j)
     if classify:
         _check_even(n)
     orbits, fixed = [], []
-    for word, period, axes in _cell_orbits(n, j):
+    for _, word, period, axes in _orbits(n, _necklaces(n, j)):
         if axes:
             fixed.append((period, axes))
         listed = [{"m": a.m, "type": a.axis_type} for a in axes] if axes else []

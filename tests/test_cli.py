@@ -202,6 +202,9 @@ class _Dict(dict):
 
 
 _FLAT = [{"a": 1, "b": "x}"}, {"a": [], "b": {}}, {"c": None, "d": -0.5}]
+# catalog-shaped orbits: flat ones hold an empty "axes" list, nested ones do not
+_ORBIT = {"canonical": "0011", "period": 4, "flip_fixed": False, "axes": []}
+_FIXED = {"canonical": "0101", "period": 2, "flip_fixed": True, "axes": [{"m": 1, "type": 1}]}
 
 
 @pytest.mark.parametrize("c_encoder", [cli.c_make_encoder, None], ids=["c", "fallback"])
@@ -210,11 +213,38 @@ _FLAT = [{"a": 1, "b": "x}"}, {"a": [], "b": {}}, {"c": None, "d": -0.5}]
     _FLAT + [{"a": {"b": 1}}],  # a run, then a nested dict only the last item shows
     _FLAT[:1] + [_Dict(a=1)] + _FLAT[1:],  # a dict subclass inside a run
     tuple(_FLAT),  # a tuple of run dicts
-], ids=["whole-run", "nested-last", "dict-subclass", "tuple"])
+    [_FIXED, _ORBIT, _ORBIT],  # a nested dict first
+    [_ORBIT, _FIXED, _FIXED, _ORBIT],  # two nested dicts in a row
+    [_FIXED, _ORBIT, _FIXED],  # one flat dict between two nested ones
+    (_ORBIT, _FIXED, _ORBIT),  # a tuple cut by a nested dict
+], ids=["whole-run", "nested-last", "dict-subclass", "tuple",
+        "nested-first", "nested-pair", "flat-between", "tuple-cut"])
 def test_chunks_of_a_list_of_flat_dicts(c_encoder, items):
     with mock.patch.object(cli, "c_make_encoder", c_encoder):
         for tree in (items, {"k": items}, [[items, 1]]):
             assert "".join(cli._chunks(tree)) == json.dumps(tree, indent=2)
+
+
+def test_chunks_make_no_call_per_run_item():
+    # k flat orbits, one nested, k more: the runs are found by C-level
+    # passes, so the Python calls do not grow with k
+    def calls(k):
+        tree = {"k": [_ORBIT] * k + [_FIXED] + [_ORBIT] * k}
+        made = 0
+
+        def count(frame, event, arg):
+            nonlocal made
+            made += event == "call"
+
+        sys.setprofile(count)
+        try:
+            for _ in cli._chunks(tree):
+                pass
+        finally:
+            sys.setprofile(None)
+        return made
+
+    assert calls(100) == calls(1000)
 
 
 def test_triangle_csv_row_count(capsys):

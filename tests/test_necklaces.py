@@ -19,12 +19,14 @@ from gwbinom.necklaces import (
     EnumerationLimitError,
     Necklace,
     _cycle,
+    _from_word,
     _lyndon_counts,
     _necklaces,
     _reflect,
     _rot_mask,
     _twisted_lengths,
     _twisted_step,
+    _word,
     aperiodic_count,
     axis_distance,
     classify_flip_fixed,
@@ -88,6 +90,15 @@ def test_reflect_is_r_m_f():
             for m in range(n):
                 assert _reflect(word, m) == "".join(word[(m - q) % n] for q in range(n))
             assert _reflect(word, n - 1) == word[::-1]
+
+
+def test_word_matches_the_padded_binary_form():
+    # the marker-bit slice against the zero-padded format it replaced
+    cases = [(m, n) for n in range(1, 13) for m in range(1 << n)]
+    cases += [(m, 63) for m in (0, 1, 1 << 62, (1 << 63) - 1)]
+    for m, n in cases:
+        assert _word(m, n) == f"{m:0{n}b}"[::-1], (m, n)
+        assert _from_word(_word(m, n)).blues == m
 
 
 @pytest.mark.parametrize("size, blues", [(True, 1), (3, 1.0), ("3", 1), (2.0, 0), (3, False)])
@@ -208,6 +219,20 @@ def test_gap_walk_matches_brute_force():
                 least, period = _least_turn("".join("1" if i in ones else "0" for i in range(n)))
                 found.add((int(least, 2), period))
             assert list(_necklaces(n, j)) == sorted(found), (n, j)
+
+
+def test_gap_walk_counts_every_cell_to_twenty():
+    # each cell's orbits are the aperiodic ones of its divisor cells, and
+    # the walk yields them ascending, each period dividing n
+    for n in range(1, 21):
+        for j in range(n + 1):
+            walk = list(_necklaces(n, j))
+            g = gcd(n, j)
+            assert len(walk) == sum(aperiodic_count(n // d, j // d)
+                                    for d in range(1, g + 1) if g % d == 0), (n, j)
+            masks = [least for least, _ in walk]
+            assert all(a < b for a, b in zip(masks, masks[1:])), (n, j)
+            assert all(n % period == 0 for _, period in walk), (n, j)
 
 
 def test_gap_walk_at_the_word_width():
@@ -1040,22 +1065,34 @@ def test_flip_fixed_counts_build_records_only_for_flip_fixed_orbits(monkeypatch)
                 assert asdict(classify_flip_fixed(n, j)) == want, (n, j)
 
     # 20 of the 80 orbits of (12, 6) are flip-fixed; the counts and the
-    # catalog build no record, and make one axis search per orbit
+    # catalog build no record, search each orbit's doubled word once, and
+    # classify axes only on the 20 orbits where the search hits
     records = enumerate_orbits(12, 6)
     assert len(records) == 80 and sum(rec.flip_fixed for rec in records) == 20
-    words = [rec.canonical.bitstring() for rec in records]
-    built, searched = [], []
-    real_record, real_axes = necklaces._rotation_record, necklaces._axes
-    monkeypatch.setattr(necklaces, "_rotation_record",
-                        lambda *args: built.append(args) or real_record(*args))
+    doubled = [rec.canonical.bitstring() * 2 for rec in records]
+    fixed = [rec.canonical.bitstring() for rec in records if rec.flip_fixed]
+    built, searched, classified = [], [], []
+    real_records, real_axes = necklaces._records, necklaces._axes
+    monkeypatch.setattr(necklaces, "_records",
+                        lambda *args: built.append(args) or real_records(*args))
     monkeypatch.setattr(necklaces, "_axes",
-                        lambda word, period: searched.append(word) or real_axes(word, period))
+                        lambda word, *args: classified.append(word) or real_axes(word, *args))
+
+    def searches(frame, event, arg):  # the search is str.find, a C call
+        if event == "c_call" and arg.__name__ == "find" and type(arg.__self__) is str:
+            searched.append(arg.__self__)
+
     for count in (classify_flip_fixed, odd_flip_fixed_count, orbit_catalog,
                   lambda n, j: orbit_catalog(n, j, classify=True)):
         built.clear()
         searched.clear()
-        count(12, 6)
-        assert built == [] and searched == words, count
+        classified.clear()
+        sys.setprofile(searches)
+        try:
+            count(12, 6)
+        finally:
+            sys.setprofile(None)
+        assert built == [] and searched == doubled and classified == fixed, count
 
     # an odd n is refused before the generator is walked
     def no_enumeration(*args):
