@@ -202,7 +202,7 @@ class _Dict(dict):
 
 
 _FLAT = [{"a": 1, "b": "x}"}, {"a": [], "b": {}}, {"c": None, "d": -0.5}]
-# catalog-shaped orbits: flat ones hold an empty "axes" list, nested ones do not
+# catalog-shaped orbits: a flat one holds an empty "axes" list, a nested one axis dicts
 _ORBIT = {"canonical": "0011", "period": 4, "flip_fixed": False, "axes": []}
 _FIXED = {"canonical": "0101", "period": 2, "flip_fixed": True, "axes": [{"m": 1, "type": 1}]}
 
