@@ -97,15 +97,15 @@ def _chunks(obj):
     """Pieces whose concatenation is json.dumps(obj, indent=2), byte for byte,
     on plain dicts (str keys), lists, tuples and scalars.  A container holding
     no non-empty container is one C-encoder call; its item separator adds
-    every newline, as strings escape theirs.  Inside a list, each maximal run
-    of non-empty such dicts is one call at the dicts' indent, whose
-    "}" + separator + "{" seams are re-broken onto their own lines: escaped
-    strings hold no newline, so only the seam between two dicts matches.
-    On a list of non-empty plain dicts, passes of C functions find one whole
-    run or the nested dicts that cut the runs, with no Python call per item.
-    A dict streams its members and a list yields one piece per item or run,
-    so the pieces are members, rows, runs and closing brackets, not one per
-    token."""
+    every newline, as strings escape theirs.  In a list of non-empty plain
+    dicts, each maximal run of such flat dicts is one call at the dicts'
+    indent, whose "}" + separator + "{" seams are re-broken onto their own
+    lines: escaped strings hold no newline, so only the seam between two
+    dicts matches.  Passes of C functions find one whole run or the nested
+    dicts that cut the runs, with no Python call per item.  Any other list
+    is cut at every item.  A dict streams its members and a list yields one
+    piece per item or run, so the pieces are members, rows, runs and closing
+    brackets, not one per token."""
     if c_make_encoder is None:  # an interpreter without CPython's _json
         yield json.dumps(obj, indent=2)
         return
@@ -120,9 +120,6 @@ def _chunks(obj):
 
     def flat(items) -> bool:
         return containers.isdisjoint(map(type, filter(None, items)))
-
-    def run_key(v) -> bool:  # a non-empty dict of scalars and empty containers
-        return type(v) is dict and bool(v) and flat(v.values())
 
     def chunks(o, outer: str, head: str):
         # outer: a comma, a newline and o's indent; head leads the first piece
@@ -144,14 +141,13 @@ def _chunks(obj):
         else:
             inner = sep + "  "
             seam = f"{sep[1:]}}}{sep}{{{inner[1:]}"
+            cuts = range(len(o))
             if set(map(type, o)) == {dict} and all(o):
                 whole = flat(chain.from_iterable(map(dict.values, o)))
                 # flat(v.values()) per v, by maps of C functions; nested v cut runs
                 flags = map(containers.isdisjoint,
                             map(map, repeat(type), map(filter, repeat(None), map(dict.values, o))))
                 cuts = () if whole else compress(count(), map(not_, flags))
-            else:
-                cuts = compress(count(), map(not_, map(run_key, o)))
             start = 0
             for cut in chain(cuts, [len(o)]):
                 if start < cut:  # a run

@@ -169,12 +169,6 @@ def triangle_rows(rows: int) -> list[list[GWElem]]:
     return table
 
 
-def triangle(rows: int) -> list[list[EnrichedCoefficient]]:
-    """The cells of `triangle_rows` as closed-form coefficients."""
-    return [[EnrichedCoefficient(n, j, False, v, "closed") for j, v in enumerate(row)]
-            for n, row in enumerate(triangle_rows(rows))]
-
-
 def _triangle_json(rows: list[list[GWElem]]) -> dict:
     """The triangle's JSON from its class rows.  A mirrored cell (n, j),
     j > n - j, holding its partner's GWElem reuses the partner's rendering."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _require_int
+from .arith import _require_int, _require_positive
 
 SQUARE = 0
 NONSQUARE = 1
@@ -88,8 +88,7 @@ def trace_form_class(n: int) -> GWElem:
     polynomial, square exactly when the Frobenius n-cycle on its roots is
     an even permutation, i.e. when n is odd.
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
+    _require_positive(n, "degree")
     return GWElem(n, SQUARE if n % 2 else NONSQUARE)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .arith import _require_int, _require_positive
+from .arith import _require_positive
 from .necklaces import (
     OrbitRecord,
     _cycle,
@@ -45,11 +45,10 @@ class MarkedCyclicPartition:
 
     def __post_init__(self) -> None:
         runs = tuple(self.runs)
-        _require_int(*runs)
+        for r in runs:
+            _require_positive(r, "run length")
         if len(runs) < 2 or len(runs) % 2:
             raise ValueError(f"even run count >= 2 required, got {runs}")
-        if any(r < 1 for r in runs):
-            raise ValueError(f"run lengths must be positive, got {runs}")
         object.__setattr__(self, "runs", min(_cycle(runs, _next_block)))
 
     @property

@@ -17,7 +17,7 @@ from gwbinom.arith import (
 from gwbinom.coefficients import (
     correction_parity,
     half_central_hyperbolic,
-    triangle,
+    triangle_rows,
     twisted_closed,
     twisted_correction_parity,
     twisted_oracle,
@@ -25,7 +25,7 @@ from gwbinom.coefficients import (
     untwisted_oracle,
     verify,
 )
-from gwbinom.gw import GWElem
+from gwbinom.gw import GWElem, trace_form_class
 from gwbinom.necklaces import Necklace, count_even_orbits, rotate
 from gwbinom.partitions import compositions
 
@@ -133,8 +133,9 @@ def test_mobius_rejects_nonpositive():
     (half_central_hyperbolic, (True,)),
     (rotate, (Necklace(3, 1), True)),
     (verify, (3, 1, True)),
-    (triangle, (True,)),
+    (triangle_rows, (True,)),
     (GWElem, (1, True)),
+    (trace_form_class, (0.5,)),
     (composition_list, (True,)),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_non_int_arguments_raise_type_error(fn, args):

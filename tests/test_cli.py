@@ -13,7 +13,8 @@ from gwbinom import cli
 from gwbinom.cli import main
 from gwbinom.coefficients import (
     EnrichedCoefficient,
-    triangle,
+    _triangle_json,
+    triangle_rows,
     triangle_to_json,
     untwisted_closed,
 )
@@ -92,7 +93,8 @@ def test_triangle_single_row(capsys):
 def test_triangle_json_roundtrip(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "7", "--format", "json")
     assert code == 0
-    assert json.loads(out) == triangle_to_json(triangle(7))
+    table = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(7)]
+    assert json.loads(out) == triangle_to_json(table)
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -109,8 +111,8 @@ def test_triangle_command_builds_no_coefficient(capsys, monkeypatch, fmt):
     code, out, _ = run(capsys, "triangle", "--rows", "40", "--format", fmt)
     assert code == 0 and out
     assert made == []
-    triangle(2)
-    assert len(made) == 3  # the patch does count
+    untwisted_closed(2, 1)
+    assert len(made) == 1  # the patch does count
 
 
 def test_triangle_json_renders_each_class_once(capsys, monkeypatch):
@@ -130,7 +132,7 @@ def test_triangle_to_json_takes_a_table_built_cell_by_cell():
     # cells from untwisted_closed share no GWElem, so every cell is rendered
     table = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(60)]
     for rows in range(1, 61):
-        assert triangle_to_json(table[:rows]) == triangle_to_json(triangle(rows)), rows
+        assert triangle_to_json(table[:rows]) == _triangle_json(triangle_rows(rows)), rows
     # a cell past its row's end mirrors no other cell, though row[n - j] is itself
     row = [EnrichedCoefficient(0, j, False, v, "closed")
            for j, v in enumerate([ONE, NONSQUARE_UNIT])]
@@ -140,15 +142,16 @@ def test_triangle_to_json_takes_a_table_built_cell_by_cell():
 def test_triangle_to_json_matches_the_command_bytes(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "300", "--format", "json")
     assert code == 0
-    assert out == json.dumps(triangle_to_json(triangle(300)), indent=2) + "\n"
+    table = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(300)]
+    assert out == json.dumps(triangle_to_json(table), indent=2) + "\n"
 
 
 def test_triangle_to_json_refuses_a_cell_out_of_place():
-    table = triangle(6)
+    table = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(6)]
     table[4][1], table[4][2] = table[4][2], table[4][1]
     with pytest.raises(ValueError, match=r"cell \(n=4, j=2\) found at row 4, position 1"):
         triangle_to_json(table)
-    table = triangle(6)
+    table[4][1], table[4][2] = table[4][2], table[4][1]
     table[3], table[5] = table[5], table[3]
     with pytest.raises(ValueError, match="found at row 3"):
         triangle_to_json(table)
@@ -217,8 +220,11 @@ _FIXED = {"canonical": "0101", "period": 2, "flip_fixed": True, "axes": [{"m": 1
     [_ORBIT, _FIXED, _FIXED, _ORBIT],  # two nested dicts in a row
     [_FIXED, _ORBIT, _FIXED],  # one flat dict between two nested ones
     (_ORBIT, _FIXED, _ORBIT),  # a tuple cut by a nested dict
+    [_FLAT, _FLAT],  # lists, as the triangle's rows: cut at every item
+    [_FLAT[0], {}, _FLAT[1]],  # an empty dict between two flat ones
 ], ids=["whole-run", "nested-last", "dict-subclass", "tuple",
-        "nested-first", "nested-pair", "flat-between", "tuple-cut"])
+        "nested-first", "nested-pair", "flat-between", "tuple-cut",
+        "row-lists", "empty-between"])
 def test_chunks_of_a_list_of_flat_dicts(c_encoder, items):
     with mock.patch.object(cli, "c_make_encoder", c_encoder):
         for tree in (items, {"k": items}, [[items, 1]]):

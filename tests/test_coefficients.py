@@ -10,7 +10,6 @@ from gwbinom.cli import main
 from gwbinom.coefficients import (
     correction_parity,
     half_central_hyperbolic,
-    triangle,
     triangle_rows,
     twisted_closed,
     twisted_correction_parity,
@@ -19,7 +18,7 @@ from gwbinom.coefficients import (
     untwisted_oracle,
     verify,
 )
-from gwbinom.gw import SQUARE, gw_from_coeffs
+from gwbinom.gw import SQUARE, gw_display, gw_from_coeffs
 from gwbinom.necklaces import EnumerationLimitError, count_even_orbits
 
 
@@ -110,15 +109,15 @@ def test_half_central_hyperbolic_identity():
 
 
 def test_triangle_shape_and_rows():
-    table = triangle(3)
-    assert [c.display for c in table[2]] == ["1", "1+u", "1"]
-    table = triangle(9)
-    assert [c.display for c in table[8]] == [
+    table = triangle_rows(3)
+    assert [gw_display(v) for v in table[2]] == ["1", "1+u", "1"]
+    table = triangle_rows(9)
+    assert [gw_display(v) for v in table[8]] == [
         "1", "7+u", "28", "55+u", "70", "55+u", "28", "7+u", "1",
     ]
     assert len(table) == 9
     with pytest.raises(ValueError):
-        triangle(0)
+        triangle_rows(0)
 
 
 def test_triangle_symmetry():
@@ -132,22 +131,20 @@ def test_triangle_symmetry():
 def test_triangle_row_walk_matches_fresh_binomials():
     # every cell of the walked and mirrored rows against untwisted_closed,
     # which takes math.comb(n, j) afresh; rows 0..2 are the mirror's edges
-    table = triangle(160)
+    table = triangle_rows(160)
     assert [len(row) for row in table] == list(range(1, 161))
     for n, row in enumerate(table):
-        assert row == [untwisted_closed(n, j) for j in range(n + 1)], n
+        assert row == [untwisted_closed(n, j).value for j in range(n + 1)], n
     for rows in (1, 2, 3):
-        assert triangle(rows) == [[untwisted_closed(n, j) for j in range(n + 1)]
-                                  for n in range(rows)]
-    assert [[c.display for c in row] for row in triangle(3)] == [["1"], ["1", "1"],
-                                                                 ["1", "1+u", "1"]]
+        assert triangle_rows(rows) == [[untwisted_closed(n, j).value for j in range(n + 1)]
+                                       for n in range(rows)]
+    assert [[gw_display(v) for v in row] for row in triangle_rows(3)] == [
+        ["1"], ["1", "1"], ["1", "1+u", "1"]]
 
 
 def test_triangle_rows_are_the_triangles_classes():
-    # triangle is the coefficient view of triangle_rows, and each mirrored
-    # cell holds the very GWElem of its partner in the walked half
+    # each mirrored cell holds the very GWElem of its partner in the walked half
     rows = triangle_rows(40)
-    assert rows == [[c.value for c in row] for row in triangle(40)]
     assert all(row[n - j] is row[j] for n, row in enumerate(rows) for j in range(n + 1))
     with pytest.raises(ValueError, match="MAX_ROWS"):
         triangle_rows(1001)
@@ -163,17 +160,17 @@ def _cli_triangle_classes(capsys, rows: int) -> list[list[tuple[int, str]]]:
 def test_triangle_and_closed_form_share_one_definition(monkeypatch, capsys):
     import gwbinom.coefficients as coefficients
 
-    before = triangle(40)
+    before = triangle_rows(40)
     # a wrong rule, symmetric in j <-> n - j as the mirror needs: the
     # correction on every odd j of an even row, digit dominance or not
     monkeypatch.setattr(coefficients, "correction_parity", lambda n, j: int(n % 2 == 0 and j % 2))
-    after = triangle(40)
+    after = triangle_rows(40)
     closed = [[untwisted_closed(n, j) for j in range(n + 1)] for n in range(40)]
-    assert after == closed
-    assert triangle_rows(40) == [[c.value for c in row] for row in closed]
+    assert after == [[c.value for c in row] for row in closed]
     assert _cli_triangle_classes(capsys, 40) == [[(c.value.rank, c.display) for c in row]
                                                  for row in closed]
-    changed = {(c.n, c.j) for row, old in zip(after, before) for c, o in zip(row, old) if c != o}
+    changed = {(n, j) for n, (row, old) in enumerate(zip(after, before))
+               for j, (v, o) in enumerate(zip(row, old)) if v != o}
     assert changed == {(n, j) for n in range(0, 40, 2) for j in range(1, n, 2)
                        if not correction_parity(n, j)}
     assert (6, 3) in changed
@@ -186,7 +183,7 @@ def test_triangle_and_closed_form_share_one_definition(monkeypatch, capsys):
         return real_comb(n, k)
 
     monkeypatch.setattr(coefficients, "comb", counted)
-    triangle(50)
+    triangle_rows(50)
     assert calls == []
     untwisted_closed(5, 2)
     assert calls == [(5, 2)]
@@ -210,7 +207,6 @@ def test_every_class_comes_from_one_constructor(monkeypatch, capsys):
     assert twisted_closed(4).value == marker
     assert calls[-1] == (70, 1)
     assert twisted_oracle(3).value == marker
-    assert all(c.value == marker for row in triangle(12) for c in row)
     assert all(v == marker for row in triangle_rows(12) for v in row)
     for twisted, routes in coefficients.ROUTES.items():
         n, j = (6, 3) if twisted else (8, 3)

@@ -17,6 +17,8 @@ import hashlib
 import io
 import re
 
+import pytest
+
 from gwbinom.cli import main
 from gwbinom.coefficients import EnrichedCoefficient
 from gwbinom.gw import GWElem
@@ -66,6 +68,14 @@ TRIANGLE_300_SHA256 = "fb1799fa0cb13323fe6b53d8c66ffa48de211c95a5377235d11a4056f
 # sha256 of `necklaces --n 22 --j 11 --classify --format json`: CATALOG_SHA256
 # in the benchmark's bench/workloads.py, pinned when the benchmark was introduced
 CATALOG_22_SHA256 = "b7ce49a837a6c3d63635c685ef395696f9e1672a5dcbd9f091b6b511032a535e"
+
+# sha256 of `verify --max-n 20 --twisted-max-j 11` as JSON and as text, timings
+# masked by _TIMING: the benchmark's verify-sweep workload (VERIFY_ARGV in
+# bench/workloads.py), whose 242 cells give its VERIFY_DIGEST
+VERIFY_20_SHA256 = {
+    "json": "7a55e628b84558cbd9e3e841656f9832104d292a720d5ac5abfcaf45894cde4b",
+    "text": "f756cf58b34c4453abfe6cecdfcdc2a8536b787cba2cd45739c8e9185efe2187",
+}
 
 # the largest row of the 300-row triangle is about 74 KB of JSON
 MAX_WRITE = 2**20
@@ -149,3 +159,12 @@ def test_full_size_triangle_json_digest():
 def test_catalog_22_json_digest():
     argv = ["necklaces", "--n", "22", "--j", "11", "--classify", "--format", "json"]
     assert _streamed_digest(argv) == CATALOG_22_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_sweep_digest(fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--max-n", "20", "--twisted-max-j", "11", "--format", fmt]) == 0
+    masked = _TIMING.sub("#", out.getvalue()).encode()
+    assert hashlib.sha256(masked).hexdigest() == VERIFY_20_SHA256[fmt]

@@ -12,7 +12,9 @@ SRC = ROOT / "src" / "gwbinom"
 FORBIDDEN = re.compile(r"os\.environ|getenv|functools\.cache|from functools import .*\bcache\b|lru_cache")
 BEAD_LAYOUT = re.compile(r"<<|>>|\.blues\b")
 VISITED_SET = re.compile(r"\bset\(\)")
-INT_RULE = re.compile(r'isinstance\([^)]*\bbool\b|ValueError\(f"positive ')
+# a hand-written bool test, or a "positive" ValueError not about a CLI option
+INT_RULE = re.compile(r'isinstance\([^)]*\bbool\b|ValueError\(f"positive '
+                      r'|ValueError\(f?"(?!--)[^"]*must be positive')
 
 
 def _hits(pattern, exempt=()):
@@ -44,6 +46,12 @@ def test_int_rule_stays_in_arith():
     # "an int, not a bool, at least 1" is written once, in arith.py: a hand
     # copy elsewhere can drop its bool half and let True pass for 1
     assert _hits(INT_RULE, exempt={"arith.py"}) == []
+    hits = [INT_RULE.search(line) is not None for line in (
+        'raise ValueError(f"degree must be positive, got {n}")',
+        'raise ValueError("size must be positive")',
+        'raise ValueError(f"--max-j must be positive, got {args.max_j}")',
+    )]
+    assert hits == [True, True, False]
 
 
 def _stdout_writes(tree):
