@@ -11,7 +11,6 @@ and at least 1 where it must be (`_require_positive`).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import zip_longest
 
 
@@ -35,6 +34,8 @@ def _as_integer(x) -> int | None:
         raise TypeError("bool is not a valid arithmetic argument")
     if isinstance(x, int):
         return x
+    from fractions import Fraction  # only a non-int argument loads fractions
+
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else None
     raise TypeError(f"exact int or Fraction required, got {type(x).__name__}")

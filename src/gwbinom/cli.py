@@ -12,12 +12,16 @@ is ever held.  Exit codes: 0 success / full agreement, 1 closed-vs-oracle
 divergence, 2 usage or enumeration-limit errors, 141 when the reader
 closes stdout early (as under SIGPIPE).  The base field never enters the
 numbers, so --q only checks that the field order is an odd prime power.
+Each subcommand imports the modules it calls in its own body, and csv is
+imported only for CSV output, so a run loads only what its command uses and
+--help loads no command module.  ``python -m gwbinom`` freezes its start-up
+objects out of the cyclic collector before calling ``main``; ``main`` itself
+leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -27,18 +31,6 @@ from math import comb
 from operator import not_
 
 from .arith import _smallest_factor, valuation
-from .coefficients import (
-    VerifyReport,
-    _triangle_json,
-    triangle_rows,
-    twisted_closed,
-    twisted_oracle,
-    untwisted_closed,
-    untwisted_oracle,
-    verify,
-)
-from .gw import GWElem, gw_display
-from .necklaces import check_enumeration, orbit_catalog
 
 FORMATS = ("text", "json", "csv")
 MAX_Q = 10**10  # --q is checked by trial division: sqrt(MAX_Q) steps, about 0.04 s
@@ -173,6 +165,8 @@ def _emit(fmt: str, obj, header, rows, lines) -> None:
         sys.stdout.writelines(_chunks(obj()))
         print()
     elif fmt == "csv":
+        import csv
+
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -194,6 +188,8 @@ def _check_printable(n: int, j: int) -> None:
 
 
 def _cmd_coeff(args) -> int:
+    from .coefficients import twisted_closed, twisted_oracle, untwisted_closed, untwisted_oracle
+
     if args.twisted:
         if args.n is not None and args.n != 2 * args.j:
             raise ValueError(f"--twisted requires n = 2j, got n={args.n}, j={args.j}")
@@ -229,12 +225,17 @@ def _cmd_coeff(args) -> int:
 
 def triangle_text(rows: list[list[GWElem]]) -> str:
     """Centered text triangle of class rows; entries joined by double spaces."""
+    from .gw import gw_display
+
     lines = ["  ".join(map(gw_display, row)) for row in rows]
     width = len(lines[-1])
     return "\n".join(line.center(width).rstrip() for line in lines)
 
 
 def _cmd_triangle(args) -> int:
+    from .coefficients import _triangle_json, triangle_rows
+    from .gw import gw_display
+
     _check_printable(args.rows - 1, (args.rows - 1) // 2)
     rows = triangle_rows(args.rows)
     _emit(args.format, lambda: _triangle_json(rows), ["row", "j", "rank", "disc", "display"],
@@ -245,9 +246,13 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
+    from .coefficients import twisted_closed, twisted_oracle
+
     if args.max_j < 1:
         raise ValueError(f"--max-j must be positive, got {args.max_j}")
     if args.oracle:
+        from .necklaces import check_enumeration
+
         check_enumeration(2 * args.max_j, args.max_j)
     _check_printable(2 * args.max_j, args.max_j)
     if args.max_j > MAX_TWISTED_J:
@@ -276,6 +281,8 @@ def _cmd_twisted(args) -> int:
 
 
 def _cmd_necklaces(args) -> int:
+    from .necklaces import orbit_catalog
+
     catalog = orbit_catalog(args.n, args.j, classify=args.classify)
     orbits = catalog["orbits"]
 
@@ -297,6 +304,12 @@ def _cmd_necklaces(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .coefficients import VerifyReport, verify
+
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.twisted_max_j < 0:
+        raise ValueError(f"--twisted-max-j must be at least 0, got {args.twisted_max_j}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify(args.max_n, args.twisted_max_j, jobs=args.jobs)

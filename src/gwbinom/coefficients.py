@@ -10,7 +10,8 @@ The triangle walks each row's ranks with the exact integer step from
 C(n, j) to C(n, j + 1) instead of a fresh binomial per cell, over the half
 row only, and mirrors it.  Every class here, closed or oracle, untwisted or
 twisted, is built by the one constructor _corrected from a rank and a
-correction.
+correction.  The oracles and `verify` import the necklaces module when they
+run, so the closed forms and the triangle load none of it.
 
 The independent oracle evaluates the same class as
 C(n, j) + (u - 1) * (number of even-period rotation orbits of (n, j)
@@ -27,18 +28,11 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import groupby
 from math import comb
 
 from .arith import _require_int, _require_positive, big_binomial, digit_dominates
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
-from .necklaces import (
-    check_enumeration,
-    count_even_orbits,
-    count_even_twisted_orbits,
-    even_orbit_counts,
-)
 
 MAX_ROWS = 1000  # rows^2 work and memory; 1000 rows as JSON: about 3-4 s, 0.21 GB (Python 3.11.7)
 
@@ -102,6 +96,8 @@ def untwisted_closed(n: int, j: int) -> EnrichedCoefficient:
 
 def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
     """Enumeration oracle: C(n, j) + (u - 1) * (even-period orbit count)."""
+    from .necklaces import count_even_orbits
+
     _check_untwisted_cell(n, j)
     # the empty necklace (n = 0): a single orbit of odd period one
     even = count_even_orbits(n, j) if n else 0
@@ -140,6 +136,8 @@ def half_central_hyperbolic(j: int) -> GWElem:
 def twisted_oracle(j: int) -> EnrichedCoefficient:
     """Enumeration oracle over the rotate-then-color-swap action:
     C(2j, j) + (u - 1) * (even-twisted-period orbit count)."""
+    from .necklaces import count_even_twisted_orbits
+
     even = count_even_twisted_orbits(j)
     return EnrichedCoefficient(2 * j, j, True, _corrected(comb(2 * j, j), even), "oracle")
 
@@ -195,6 +193,13 @@ def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _binomial_route(n: int, j: int, even: int) -> GWElem:
+    """The correction as the raw fractional binomial C((n-2)/2, (j-1)/2)."""
+    from fractions import Fraction
+
+    return _corrected(comb(n, j), big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)))
+
+
 # Each family's routes in display order.  A route maps (n, j, even), with
 # even the work item's even-orbit count, to the cell's class, and looks its
 # function up by name when called, so a patched module attribute takes effect.
@@ -202,8 +207,7 @@ _ORACLE_ROUTE = ("oracle", lambda n, j, even: _corrected(comb(n, j), even))
 ROUTES = {
     False: (
         ("closed", lambda n, j, even: untwisted_closed(n, j).value),
-        ("binomial", lambda n, j, even: _corrected(
-            comb(n, j), big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)))),
+        ("binomial", _binomial_route),
         _ORACLE_ROUTE,
     ),
     True: (("closed", lambda n, j, even: twisted_closed(j).value), _ORACLE_ROUTE),
@@ -253,6 +257,8 @@ def _check_item(item: tuple[bool, int]) -> list[CellCheck]:
     cell with n <= max_n or (True, j) for twisted cell j, against one count
     of the item: one walk for all the untwisted rows, one count for a
     twisted cell.  CellCheck says how the count's time is shared out."""
+    from .necklaces import count_even_twisted_orbits, even_orbit_counts
+
     twisted, k = item
     cells = [(2 * k, k)] if twisted else [(n, j) for n in range(k + 1) for j in range(n + 1)]
     start = time.perf_counter()
@@ -356,6 +362,8 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     twisted cell, one count.  One map runs them across min(jobs, CPU count,
     item count) processes (none when that is 1), and the report keeps the
     cell order: untwisted by (n, j), then twisted by j."""
+    from .necklaces import check_enumeration
+
     _require_int(max_n, twisted_max_j, jobs)
     if max_n < 1 or twisted_max_j < 0 or jobs < 1:
         raise ValueError("need max_n >= 1, twisted_max_j >= 0 and jobs >= 1")
@@ -367,7 +375,7 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     pool = nullcontext()
     if workers > 1:
-        # imported only here: the pool's modules add about 30 ms to a fresh interpreter
+        # imported only here: the pool's modules add about 20 ms to a fresh interpreter
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)

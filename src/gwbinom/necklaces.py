@@ -48,7 +48,6 @@ walk to n must fit row n's largest cell, (n, n // 2).  Nothing is memoised.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from math import comb, gcd
 
 from .arith import _require_int, _require_positive, mobius
@@ -292,6 +291,8 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
     distance is the smallest folded value, halved.  Exact arithmetic in
     doubled units throughout.
     """
+    from fractions import Fraction
+
     n = rec.size
     separations = ((b.m - a.m + 2 * rec.period * t) % n for t in range(n))
     return Fraction(min(min(d, n - d) for d in separations), 2)

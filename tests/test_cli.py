@@ -364,7 +364,7 @@ def test_twisted_max_j_beyond_budget_fails_before_output(capsys, monkeypatch, fm
     def no_cell(j):
         raise AssertionError("sequence started")
 
-    monkeypatch.setattr("gwbinom.cli.twisted_closed", no_cell)
+    monkeypatch.setattr("gwbinom.coefficients.twisted_closed", no_cell)
     code, out, err = run(capsys, "twisted", "--max-j", "4001", "--format", fmt)
     assert code == 2 and out == ""
     assert "budget of 4000 (MAX_TWISTED_J)" in err
@@ -392,6 +392,16 @@ def test_verify_jobs_below_one_is_usage_error(capsys):
         code, out, err = run(capsys, "verify", "--max-n", "2", "--twisted-max-j", "1",
                              "--jobs", jobs)
         assert code == 2 and "--jobs" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("--max-n", "0"), "--max-n must be at least 1, got 0"),
+    (("--twisted-max-j", "-1"), "--twisted-max-j must be at least 0, got -1"),
+])
+def test_verify_sizes_out_of_range_name_their_option(capsys, argv, option):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {option}\n"
 
 
 def test_verify_json(capsys):
@@ -502,6 +512,60 @@ def test_cli_import_leaves_out_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Runs `python -m gwbinom` with the given arguments, then reports on stderr
+# whether the start-up objects were frozen and which modules were loaded.
+_MODULES_LOADED = """
+import gc, runpy, sys
+try:
+    runpy.run_module("gwbinom", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(gc.get_freeze_count() > 0, *sorted(sys.modules), file=sys.stderr)
+"""
+_WATCHED = {"gwbinom.coefficients", "gwbinom.gw", "gwbinom.necklaces", "fractions", "csv"}
+_CELLS = {"gwbinom.coefficients", "gwbinom.gw"}
+
+# each command, and the watched modules it loads
+_COMMAND_MODULES = [
+    (["--help"], set()),
+    (["coeff", "--n", "8", "--j", "3"], _CELLS),
+    (["coeff", "--j", "3", "--twisted", "--format", "json"], _CELLS),
+    (["coeff", "--n", "8", "--j", "3", "--format", "csv"], _CELLS | {"csv"}),
+    (["coeff", "--n", "8", "--j", "3", "--oracle"], _CELLS | {"gwbinom.necklaces"}),
+    (["triangle", "--rows", "6", "--format", "csv"], _CELLS | {"csv"}),
+    (["triangle", "--rows", "6", "--format", "json"], _CELLS),
+    (["twisted", "--max-j", "4"], _CELLS),
+    (["twisted", "--max-j", "4", "--oracle"], _CELLS | {"gwbinom.necklaces"}),
+    (["necklaces", "--n", "8", "--j", "4", "--classify"], {"gwbinom.necklaces"}),
+    (["necklaces", "--n", "8", "--j", "4", "--format", "csv"], {"gwbinom.necklaces", "csv"}),
+    (["verify", "--max-n", "4", "--twisted-max-j", "2"],
+     _CELLS | {"gwbinom.necklaces", "fractions"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, loaded):
+    # a module a command does not call costs its import on every run
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
+                          capture_output=True, text=True, env=env)
+    frozen, *modules = proc.stderr.splitlines()[-1].split()
+    assert proc.returncode == 0 and frozen == "True", proc.stderr
+    assert _WATCHED.intersection(modules) == loaded
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only `python -m gwbinom` freezes its start-up objects; main runs in
+    # tests, demos and the benchmark's traced passes too
+    import gc
+
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["necklaces", "--n", "8", "--j", "4"]) == 0
+    assert main(["triangle", "--rows", "6"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_closed_stdout_exits_141_without_traceback():

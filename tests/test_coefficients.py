@@ -357,10 +357,10 @@ def test_verify_clamps_pool_to_cpu_count(monkeypatch):
 def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
     import time
 
-    import gwbinom.coefficients as coefficients
+    import gwbinom.necklaces as necklaces
 
-    walk = coefficients.even_orbit_counts
-    count = coefficients.count_even_twisted_orbits
+    walk = necklaces.even_orbit_counts
+    count = necklaces.count_even_twisted_orbits
 
     def slow_walk(n):
         time.sleep(0.04)
@@ -370,8 +370,8 @@ def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
         time.sleep(0.04)
         return count(j)
 
-    monkeypatch.setattr(coefficients, "even_orbit_counts", slow_walk)
-    monkeypatch.setattr(coefficients, "count_even_twisted_orbits", slow_count)
+    monkeypatch.setattr(necklaces, "even_orbit_counts", slow_walk)
+    monkeypatch.setattr(necklaces, "count_even_twisted_orbits", slow_count)
     cells = verify(4, 2).cells
     # one walk feeds the 2^5 - 1 masks of the untwisted cells with n <= 4
     untwisted = [c for c in cells if not c.twisted]

@@ -113,7 +113,7 @@ def test_cli_transcript_digest():
 def test_cli_divergence_transcript_digest(monkeypatch):
     """An oracle that is off by one square class at (8, 3) and at j = 4
     exercises the disagreement lines and exit code 1 in every format."""
-    import gwbinom.cli as cli
+    import gwbinom.coefficients as coefficients
 
     def off(real, at):
         def wrapped(*args):
@@ -123,8 +123,9 @@ def test_cli_divergence_transcript_digest(monkeypatch):
             return EnrichedCoefficient(c.n, c.j, c.twisted, c.value + GWElem(0, 1), c.method)
         return wrapped
 
-    monkeypatch.setattr(cli, "untwisted_oracle", off(cli.untwisted_oracle, (8, 3)))
-    monkeypatch.setattr(cli, "twisted_oracle", off(cli.twisted_oracle, (4,)))
+    monkeypatch.setattr(coefficients, "untwisted_oracle",
+                        off(coefficients.untwisted_oracle, (8, 3)))
+    monkeypatch.setattr(coefficients, "twisted_oracle", off(coefficients.twisted_oracle, (4,)))
     cases = [((*argv, "--format", fmt), False) for argv in DIVERGENT for fmt in FORMATS]
     assert hashlib.sha256(_transcript(cases).encode()).hexdigest() == DIVERGENT_SHA256
 
