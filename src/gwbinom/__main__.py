@@ -3,7 +3,7 @@ import sys
 
 from .cli import main
 
-# The objects made so far (modules, classes, functions) live as long as the
-# process; frozen, no collection a command triggers walks them again.
+# The start-up objects (modules, classes, functions) live as long as the
+# process; frozen, no later collection walks them.
 gc.freeze()
 sys.exit(main())

@@ -194,7 +194,8 @@ def triangle_to_json(table: list[list[EnrichedCoefficient]]) -> dict:
 
 
 def _binomial_route(n: int, j: int, even: int) -> GWElem:
-    """The correction as the raw fractional binomial C((n-2)/2, (j-1)/2)."""
+    """The cell's class with the raw fractional binomial C((n-2)/2, (j-1)/2),
+    vanishing off the integers, as its correction."""
     from fractions import Fraction
 
     return _corrected(comb(n, j), big_binomial(Fraction(n - 2, 2), Fraction(j - 1, 2)))
