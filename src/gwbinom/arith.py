@@ -3,9 +3,11 @@
 Big-integer and rational arithmetic: binomials that vanish at fractional
 arguments, Moebius, p-adic valuations and digits, Lucas residues, Kummer
 valuations, binary digit dominance.  Nothing may round, as parities and
-2-adic valuations carry everything downstream.  The package's integer rule
-lives here alone: a size or count is an int, not a bool (`_require_int`),
-and at least 1 where it must be (`_require_positive`).
+2-adic valuations carry everything downstream.  The package's argument
+rules live here alone: a size or count is an int, not a bool (`_require_int`),
+at least 1 where it must be (`_require_positive`); a cell has 0 <= j <= n
+(`_require_cell`), a twisted one n = 2j (`_require_balanced`), and a parity
+check is `_require_even`.  tests/test_source_guard.py refuses a copy elsewhere.
 """
 
 from __future__ import annotations
@@ -26,6 +28,25 @@ def _require_positive(x, name: str) -> None:
     _require_int(x)
     if x < 1:
         raise ValueError(f"positive {name} required, got {x}")
+
+
+def _require_cell(n, j) -> None:
+    """`_require_int(n, j)`, then ValueError unless 0 <= j <= n."""
+    _require_int(n, j)
+    if not 0 <= j <= n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+
+
+def _require_balanced(n, j) -> None:
+    """ValueError unless n = 2j, the twisted family's cell."""
+    if n != 2 * j:
+        raise ValueError(f"need n = 2j, got n={n}, j={j}")
+
+
+def _require_even(x, name: str) -> None:
+    """ValueError unless the int x is even."""
+    if x % 2:
+        raise ValueError(f"even {name} required, got {x}")
 
 
 def _as_integer(x) -> int | None:
@@ -67,9 +88,7 @@ def _smallest_factor(m: int) -> int:
 def mobius(m: int) -> int:
     """Moebius function by trial division: 1, 0 on a squared prime factor,
     else (-1)^(number of prime factors)."""
-    _require_int(m)
-    if m < 1:
-        raise ValueError(f"mobius is defined on positive integers, got {m}")
+    _require_positive(m, "m")
     count = 0
     while m > 1:
         d = _smallest_factor(m)
@@ -92,9 +111,7 @@ def _require_prime(p: int) -> None:
 def valuation(p: int, x: int) -> int:
     """Largest e with p^e dividing x; defined only for x >= 1."""
     _require_prime(p)
-    _require_int(x)
-    if x < 1:
-        raise ValueError(f"valuation is defined on positive integers, got {x}")
+    _require_positive(x, "x")
     e = 0
     while x % p == 0:
         x //= p
@@ -123,9 +140,7 @@ def digit_sum(p: int, x: int) -> int:
 
 def lucas_binom_mod_p(p: int, x: int, y: int) -> int:
     """C(x, y) mod p by Lucas: the product of digitwise binomials of the
-    base-p expansions."""
-    if x < 0 or y < 0:
-        raise ValueError("non-negative integers required")
+    base-p expansions; _digits refuses a negative x or y."""
     out = 1
     for xi, yi in zip_longest(_digits(p, x), _digits(p, y), fillvalue=0):
         out = out * math.comb(xi, yi) % p

@@ -31,7 +31,8 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from math import comb
 
-from .arith import _require_int, _require_positive, big_binomial, digit_dominates
+from .arith import (_require_balanced, _require_cell, _require_int, _require_positive,
+                    big_binomial, digit_dominates)
 from .gw import GWElem, SQUARE, gw_display, gw_from_coeffs, gw_to_json
 
 MAX_ROWS = 1000  # rows^2 work and memory; 1000 rows as JSON: about 3-4 s, 0.21 GB (Python 3.11.7)
@@ -50,8 +51,8 @@ class EnrichedCoefficient:
     def __post_init__(self) -> None:
         if self.method not in ("closed", "oracle"):
             raise ValueError(f"method must be 'closed' or 'oracle', got {self.method!r}")
-        if self.twisted and self.n != 2 * self.j:
-            raise ValueError(f"twisted coefficients need n = 2j, got n={self.n}, j={self.j}")
+        if self.twisted:
+            _require_balanced(self.n, self.j)
 
     @property
     def display(self) -> str:
@@ -77,19 +78,11 @@ def _corrected(rank: int, correction: int) -> GWElem:
     return gw_from_coeffs(rank - correction, correction)
 
 
-def _check_untwisted_cell(n: int, j: int) -> None:
-    _require_int(n, j)
-    if n < 0:
-        raise ValueError(f"non-negative n required, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-
-
 def untwisted_closed(n: int, j: int) -> EnrichedCoefficient:
     """Closed-form enriched coefficient for j blues among n beads,
     evaluated through the digit-dominance parity of the correction.  The
     raw-binomial route is checked against it in `verify`."""
-    _check_untwisted_cell(n, j)
+    _require_cell(n, j)
     return EnrichedCoefficient(n, j, False, _corrected(comb(n, j), correction_parity(n, j)),
                                "closed")
 
@@ -98,7 +91,7 @@ def untwisted_oracle(n: int, j: int) -> EnrichedCoefficient:
     """Enumeration oracle: C(n, j) + (u - 1) * (even-period orbit count)."""
     from .necklaces import count_even_orbits
 
-    _check_untwisted_cell(n, j)
+    _require_cell(n, j)
     # the empty necklace (n = 0): a single orbit of odd period one
     even = count_even_orbits(n, j) if n else 0
     return EnrichedCoefficient(n, j, False, _corrected(comb(n, j), even), "oracle")

@@ -50,7 +50,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import comb, gcd
 
-from .arith import _require_int, _require_positive, mobius
+from .arith import (_require_balanced, _require_cell, _require_even, _require_int,
+                    _require_positive, mobius)
 
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
@@ -71,18 +72,12 @@ class EnumerationLimitError(ValueError):
     """An orbit enumeration would exceed the encoding or the mask budget."""
 
 
-def _check_cell(n: int, j: int) -> None:
-    _require_int(n, j)
-    _require_positive(n, "n")
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-
-
 def check_enumeration(n: int, j: int) -> None:
     """The one gate of every enumeration: raise ValueError unless (n, j) is
     a cell, then EnumerationLimitError unless its C(n, j) masks fit the
     word width and the MAX_MASKS budget."""
-    _check_cell(n, j)
+    _require_positive(n, "n")
+    _require_cell(n, j)
     if n > WORD_BITS:
         raise EnumerationLimitError(f"n={n} exceeds the hard limit of {WORD_BITS} beads")
     if comb(n, j) > MAX_MASKS:
@@ -112,6 +107,8 @@ class Necklace:
             _require_int(p)
             if not 0 <= p < size:
                 raise ValueError(f"position {p} out of range for size {size}")
+            if mask >> p & 1:
+                raise ValueError(f"position {p} given twice")
             mask |= 1 << p
         return cls(size, mask)
 
@@ -430,7 +427,8 @@ def aperiodic_count(n: int, j: int) -> int:
     """Number of full-period rotation orbits, by Moebius inversion:
     (1/n) * sum over l | gcd(n, j) of mu(l) * C(n/l, j/l); the other
     divisors l of n give fractional binomials, which vanish."""
-    _check_cell(n, j)
+    _require_positive(n, "n")
+    _require_cell(n, j)
     g = gcd(n, j)
     total = sum(mobius(l) * comb(n // l, j // l) for l in range(1, g + 1) if g % l == 0)
     q, r = divmod(total, n)
@@ -460,7 +458,8 @@ def odd_flip_fixed_closed_form(n: int, j: int) -> int:
     all-red orbit, giving 1.  So: halve n and j while both are even; then
     an odd n gives C((n-1)/2, floor(j/2)) and an even n gives 0.
     """
-    _check_cell(n, j)
+    _require_positive(n, "n")
+    _require_cell(n, j)
     while n % 2 == 0 and j % 2 == 0:
         n, j = n // 2, j // 2
     return comb((n - 1) // 2, j // 2) if n % 2 else 0
@@ -484,14 +483,9 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     one axis of each type.  Defined for even n only.
     """
     check_enumeration(n, j)
-    _check_even(n)
+    _require_even(n, "n")
     return _classify_flip_fixed(
         (period, axes) for _, _, period, axes in _orbits(n, _necklaces(n, j)) if axes)
-
-
-def _check_even(n: int) -> None:
-    if n % 2:
-        raise ValueError(f"even n required, got {n}")
 
 
 def _classify_flip_fixed(fixed) -> FlipFixedCounts:
@@ -523,9 +517,7 @@ def color_swap_fixed(rec: OrbitRecord) -> bool:
 def interleave_parts(l: Necklace) -> tuple[Necklace, Necklace]:
     """The even-position and odd-position beads of an even-size necklace,
     each reindexed to n/2 beads, as an ordered pair (even half first)."""
-    n = l.size
-    if n % 2:
-        raise ValueError(f"even size required, got {n}")
+    _require_even(l.size, "size")
     word = l.bitstring()
     return _from_word(word[0::2]), _from_word(word[1::2])
 
@@ -573,8 +565,8 @@ def strip_axis_beads(rec: OrbitRecord, axis: AxisIndex) -> OrbitRecord:
     the parity of j.
     """
     n = rec.size
-    if n % 2 or rec.j % 2:
-        raise ValueError(f"even bead and blue counts required, got n={n}, j={rec.j}")
+    _require_even(n, "bead count")
+    _require_even(rec.j, "blue count")
     if n < 4:
         raise ValueError(f"need at least 4 beads, got {n}")
     if axis.axis_type != TYPE2:
@@ -635,8 +627,7 @@ def _twisted_record(n: int, orbit: list[int]) -> TwistedOrbitRecord:
 
 
 def twisted_orbit_record_of(l: Necklace) -> TwistedOrbitRecord:
-    if 2 * l.j != l.size:
-        raise ValueError(f"balanced necklace required, got j={l.j} on {l.size} beads")
+    _require_balanced(l.size, l.j)
     return _twisted_record(l.size, _cycle(l.blues, _twisted_step(l.size)))
 
 
@@ -706,7 +697,7 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     enumeration."""
     check_enumeration(n, j)
     if classify:
-        _check_even(n)
+        _require_even(n, "n")
     orbits, fixed = [], []
     for _, word, period, axes in _orbits(n, _necklaces(n, j)):
         if axes:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .arith import _require_positive
+from .arith import _require_even, _require_positive
 from .necklaces import (
     OrbitRecord,
     _cycle,
@@ -47,8 +47,8 @@ class MarkedCyclicPartition:
         runs = tuple(self.runs)
         for r in runs:
             _require_positive(r, "run length")
-        if len(runs) < 2 or len(runs) % 2:
-            raise ValueError(f"even run count >= 2 required, got {runs}")
+        _require_even(len(runs), "run count")
+        _require_positive(len(runs) // 2, "block count")
         object.__setattr__(self, "runs", min(_cycle(runs, _next_block)))
 
     @property

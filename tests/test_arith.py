@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from gwbinom.arith import (
     valuation,
 )
 from gwbinom.coefficients import (
+    EnrichedCoefficient,
     correction_parity,
     half_central_hyperbolic,
     triangle_rows,
@@ -25,9 +27,23 @@ from gwbinom.coefficients import (
     untwisted_oracle,
     verify,
 )
-from gwbinom.gw import GWElem, trace_form_class
-from gwbinom.necklaces import Necklace, count_even_orbits, rotate
-from gwbinom.partitions import compositions
+from gwbinom.gw import GWElem, gw_from_coeffs, trace_form_class
+from gwbinom.necklaces import (
+    TYPE2,
+    AxisIndex,
+    Necklace,
+    aperiodic_count,
+    check_enumeration,
+    classify_flip_fixed,
+    count_even_orbits,
+    interleave_parts,
+    odd_flip_fixed_closed_form,
+    orbit_record_of,
+    rotate,
+    strip_axis_beads,
+    twisted_orbit_record_of,
+)
+from gwbinom.partitions import MarkedCyclicPartition, compositions
 
 
 def composition_list(j):
@@ -143,6 +159,37 @@ def test_non_int_arguments_raise_type_error(fn, args):
     # a float would come back as a float (digit_sum(2, 7.0) == 3.0) and
     # True would pass for 1
     with pytest.raises(TypeError, match="int required"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (untwisted_closed, (-1, 0), "need 0 <= j <= n, got j=0, n=-1"),
+    (untwisted_oracle, (3, 5), "need 0 <= j <= n, got j=5, n=3"),
+    (check_enumeration, (3, 4), "need 0 <= j <= n, got j=4, n=3"),
+    (check_enumeration, (0, 0), "positive n required, got 0"),
+    # without the positive-n bead the first divides by zero and the
+    # second halves n = 0 for ever
+    (aperiodic_count, (0, 0), "positive n required, got 0"),
+    (odd_flip_fixed_closed_form, (0, 0), "positive n required, got 0"),
+    (classify_flip_fixed, (5, 2), "even n required, got 5"),
+    (interleave_parts, (Necklace(5, 0),), "even size required, got 5"),
+    (strip_axis_beads, (orbit_record_of(Necklace(8, 1)), AxisIndex(0, TYPE2)),
+     "even blue count required, got 1"),
+    (MarkedCyclicPartition, ((3,),), "even run count required, got 1"),
+    (MarkedCyclicPartition, ((),), "positive block count required, got 0"),
+    (twisted_orbit_record_of, (Necklace(4, 1),), "need n = 2j, got n=4, j=1"),
+    (EnrichedCoefficient, (4, 1, True, gw_from_coeffs(4, 0), "closed"), "need n = 2j, got n=4, j=1"),
+    (mobius, (0,), "positive m required, got 0"),
+    (valuation, (2, 0), "positive x required, got 0"),
+    (lucas_binom_mod_p, (3, -1, 0), "non-negative integer required, got -1"),
+    (lucas_binom_mod_p, (3, 0, -1), "non-negative integer required, got -1"),
+    # two positions in would be one blue out
+    (Necklace.from_positions, (4, [1, 1]), "position 1 given twice"),
+], ids=lambda v: v.__name__ if callable(v) else v if isinstance(v, str) else None)
+def test_argument_rules_raise_value_error(fn, args, message):
+    # the cell, balance, parity and positivity rules of arith, each called
+    # by name: one message per rule wherever its argument shape is taken
+    with pytest.raises(ValueError, match=re.escape(message)):
         fn(*args)
 
 

@@ -48,6 +48,16 @@ except RuntimeError as exc:
     print("raised", exc)
 """
 
+RULES = """
+from gwbinom.coefficients import untwisted_closed
+from gwbinom.necklaces import Necklace, interleave_parts
+for call in (lambda: untwisted_closed(3, 5), lambda: interleave_parts(Necklace(5, 0))):
+    try:
+        call()
+    except ValueError as exc:
+        print("raised", exc)
+"""
+
 
 def run_optimized(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -84,6 +94,15 @@ def test_wrong_binomial_route_fails_verify_under_O():
     assert flags.split() == ["False", "False", "False"]
     # the line names the failing route without relying on assert
     assert divergence.startswith("DIVERGENCE at untwisted (n=0, j=0): closed=1 binomial=u oracle=1 ")
+
+
+def test_cell_and_parity_rules_raise_under_O():
+    proc = run_optimized("-c", RULES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised need 0 <= j <= n, got j=5, n=3",
+        "raised even size required, got 5",
+    ]
 
 
 def test_verify_cli_passes_under_O():

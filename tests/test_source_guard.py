@@ -1,7 +1,8 @@
 """The package reads no environment knob, keeps no unbounded memo or
-visited-point set, lays out beads as mask bits and states its integer rule
-in one module each, re-exports nothing, defines no top-level name in two
-modules, and defines no name that nothing else names."""
+visited-point set, lays out beads as mask bits and states its integer,
+cell, balance and parity rules in one module each, re-exports nothing,
+defines no top-level name in two modules, and defines no name that
+nothing else names."""
 
 import ast
 import re
@@ -15,6 +16,8 @@ VISITED_SET = re.compile(r"\bset\(\)")
 # a hand-written bool test, or a "positive" ValueError not about a CLI option
 INT_RULE = re.compile(r'isinstance\([^)]*\bbool\b|ValueError\(f"positive '
                       r'|ValueError\(f?"(?!--)[^"]*must be positive')
+# a hand-written cell, balance or parity ValueError not about a CLI option
+CELL_RULES = re.compile(r'ValueError\(f?"(?!--)[^"]*(0 <= j <= n|n = 2j|\b(even|balanced)\b[^"]*required)')
 
 
 def _hits(pattern, exempt=()):
@@ -52,6 +55,22 @@ def test_int_rule_stays_in_arith():
         'raise ValueError(f"--max-j must be positive, got {args.max_j}")',
     )]
     assert hits == [True, True, False]
+
+
+def test_cell_balance_and_parity_rules_stay_in_arith():
+    # "0 <= j <= n", "n = 2j" and "even" are each written once, in arith.py,
+    # so every family and layout that takes a cell refuses it the same way
+    assert _hits(CELL_RULES, exempt={"arith.py"}) == []
+    hits = [CELL_RULES.search(line) is not None for line in (
+        'raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")',
+        'raise ValueError(f"even size required, got {n}")',
+        'raise ValueError(f"even bead and blue counts required, got n={n}, j={j}")',
+        'raise ValueError(f"twisted coefficients need n = 2j, got n={n}, j={j}")',
+        'raise ValueError(f"balanced necklace required, got j={l.j} on {l.size} beads")',
+        'raise ValueError(f"--twisted requires n = 2j, got n={args.n}, j={args.j}")',
+        'raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")',
+    )]
+    assert hits == [True, True, True, True, True, False, False]
 
 
 def _stdout_writes(tree):
