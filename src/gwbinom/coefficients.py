@@ -218,10 +218,11 @@ class CellCheck:
     correction parity for the cell's family.
 
     seconds is the wall time of the cell's own checks plus its share of its
-    work item's count: the untwisted cells with n <= max_n share one walk,
-    each taking C(n, j) / (2^(max_n + 1) - 1) of it, and a twisted cell
-    takes its whole count.  So a work item's cells add up to its count plus
-    their checks."""
+    work item's counts: the untwisted cells with n <= max_n share one walk,
+    each taking C(n, j) / (2^(max_n + 1) - 1) of it; a twisted cell folded
+    into that walk takes O(j), its odd-twisted-length necklaces, and no share
+    of the walk; any other twisted cell takes its whole count.  So a work
+    item's cells add up to its counts plus their checks."""
 
     n: int
     j: int
@@ -246,24 +247,30 @@ _JSON_FIELDS = tuple(f.name for f in fields(CellCheck)
                      if f.name not in ("routes", "even_orbits", "correction_parity"))
 
 
-def _check_item(item: tuple[bool, int]) -> list[CellCheck]:
-    """Check the cells of one work item, (False, max_n) for every untwisted
-    cell with n <= max_n or (True, j) for twisted cell j, against one count
-    of the item: one walk for all the untwisted rows, one count for a
-    twisted cell.  CellCheck says how the count's time is shared out."""
-    from .necklaces import count_even_twisted_orbits, even_orbit_counts
+def _check_item(item: tuple[int, range]) -> list[CellCheck]:
+    """Check the cells of one work item (max_n, js): with max_n >= 1 every
+    untwisted cell with n <= max_n, from one row walk, even_orbit_counts;
+    then the twisted cells j of js.  One with 2j <= max_n is folded into the
+    walk, whose rows[2j][j] counts its necklaces (a balanced word has even
+    period), less O(j), those of odd twisted length; any other takes its own
+    count.  CellCheck says how the counts' time is shared out."""
+    from .necklaces import _odd_twisted_count, count_even_twisted_orbits, even_orbit_counts
 
-    twisted, k = item
-    cells = [(2 * k, k)] if twisted else [(n, j) for n in range(k + 1) for j in range(n + 1)]
-    start = time.perf_counter()
-    if twisted:
-        even = [count_even_twisted_orbits(k)]
-    else:
-        even = [e for row in even_orbit_counts(k) for e in row]
-    count_s = time.perf_counter() - start
-    total = sum(comb(n, j) for n, j in cells)
-    return [_cell_check(twisted, n, j, e, count_s * comb(n, j) / total)
-            for (n, j), e in zip(cells, even)]
+    max_n, js = item
+    checks = []
+    if max_n:
+        start = time.perf_counter()
+        rows = even_orbit_counts(max_n)
+        walk_s = time.perf_counter() - start
+        total = 2 ** (max_n + 1) - 1  # the masks of all the rows, sum of C(n, j)
+        checks = [_cell_check(False, n, j, e, walk_s * comb(n, j) / total)
+                  for n, row in enumerate(rows) for j, e in enumerate(row)]
+    for j in js:
+        start = time.perf_counter()
+        even = (rows[2 * j][j] - _odd_twisted_count(j) if 2 * j <= max_n
+                else count_even_twisted_orbits(j))
+        checks.append(_cell_check(True, 2 * j, j, even, time.perf_counter() - start))
+    return checks
 
 
 def _cell_check(twisted: bool, n: int, j: int, even: int, share: float) -> CellCheck:
@@ -351,11 +358,13 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     """Check every route of `ROUTES` on every untwisted cell with n <= max_n
     and every twisted cell with j <= twisted_max_j.  The largest cell of
     each family is checked against the enumeration budget before any cell
-    runs.  The work items are (False, max_n), one walk over the max_n-bead
-    prenecklaces that feeds every untwisted cell, and (True, j) for each
-    twisted cell, one count.  One map runs them across min(jobs, CPU count,
-    item count) processes (none when that is 1), and the report keeps the
-    cell order: untwisted by (n, j), then twisted by j."""
+    runs.  The work items are (max_n, range(1, f + 1)), one walk over the
+    max_n-bead prenecklaces that feeds every untwisted cell and the twisted
+    cells j <= f = min(twisted_max_j, max_n // 2), and (0, range(j, j + 1))
+    for each other twisted cell, one count each.  One map runs them across
+    min(jobs, CPU count, item count) processes (none when that is 1, as when
+    2 * twisted_max_j <= max_n), and the report keeps the cell order:
+    untwisted by (n, j), then twisted by j."""
     from .necklaces import check_enumeration
 
     _require_int(max_n, twisted_max_j, jobs)
@@ -365,7 +374,9 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     if twisted_max_j:
         check_enumeration(2 * twisted_max_j, twisted_max_j)
     start = time.perf_counter()
-    items = [(False, max_n)] + [(True, j) for j in range(1, twisted_max_j + 1)]
+    folded = min(twisted_max_j, max_n // 2)
+    items = [(max_n, range(1, folded + 1))]
+    items += [(0, range(j, j + 1)) for j in range(folded + 1, twisted_max_j + 1)]
     workers = min(jobs, os.cpu_count() or 1, len(items))
     pool = nullcontext()
     if workers > 1:

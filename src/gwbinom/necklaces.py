@@ -32,12 +32,14 @@ orbit of the cell once, as its least mask and period, in ascending mask
 order.  even_orbit_counts counts the even-period orbits of every cell of
 every row up to n from one tally of the Lyndon words of length at most
 n by popcount, _lyndon_counts, since each necklace is a power of one
-Lyndon word.  The twisted orbits are walked by the one orbit walk,
-_cycle, from the necklaces' least masks and their one-bead rotations,
-since two twisted steps make a two-bead rotation; counting the even ones
-walks no orbit, since a necklace's period and one rotation by half of it
-give its twisted length, _twisted_lengths.  No enumeration keeps a set of
-the points it has met.
+Lyndon word.  The single-cell counts tally the gap walk's periods once,
+_periods, which checks that the orbits' sizes add up to C(n, j).  The
+twisted orbits are walked by the one orbit walk, _cycle, from the
+necklaces' least masks and their one-bead rotations, since two twisted
+steps make a two-bead rotation; counting the even ones walks no orbit:
+they are the balanced necklaces less the (v v')^(j/d) of odd twisted
+length, which _odd_twisted_count lists from their half-words v.  No
+enumeration keeps a set of the points it has met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration,
 every enumerator's one gate, refuses a non-cell, n beyond the 63-bit encoding
@@ -47,8 +49,10 @@ walk to n must fit row n's largest cell, (n, n // 2).  Nothing is memoised.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from math import comb, gcd
+from operator import itemgetter
 
 from .arith import (_require_balanced, _require_cell, _require_even, _require_int,
                     _require_positive, mobius)
@@ -56,9 +60,9 @@ from .arith import (_require_balanced, _require_cell, _require_even, _require_in
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
 # Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
-# process RSS): enumerate_orbits(24, 12) 0.50-0.64 s in 32 MB; in 16 MB each,
-# count_even_twisted_orbits(12) 0.12-0.13 s and even_orbit_counts(24), the tally
-# over the 1,465,020 prenecklaces that counts every row up to 24, 0.35-0.46 s.
+# process RSS): enumerate_orbits(24, 12) 0.44-0.60 s in 31 MB; in 15 MB each,
+# count_even_twisted_orbits(12) 0.09-0.11 s and even_orbit_counts(24), the tally
+# over the 1,465,020 prenecklaces that counts every row up to 24, 0.31-0.40 s.
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -166,27 +170,6 @@ def _twisted_step(n: int):
     """One-bead rotation of n-bit masks followed by the color swap."""
     full = (1 << n) - 1
     return lambda m: (((m << 1) & full) | (m >> (n - 1))) ^ full
-
-
-def _twisted_lengths(n: int, j: int):
-    """Yield the twisted length of each necklace of the balanced (n, j)
-    cell, in the order of _necklaces, with no walk: the length of the
-    orbits through its least mask and through that mask's one-bead
-    rotation alike.  t twisted steps are a t-bead rotation and t color
-    swaps.  An even t closes the orbit when the period p divides t; an odd
-    t when rotating by t swaps the colors, so twice t is a multiple of p
-    but t is not, and t is an odd multiple of p/2.  A balanced word has
-    even period, so the orbit closes at p/2 when p/2 is odd and that
-    rotation swaps the colors, and at p otherwise."""
-    full = (1 << n) - 1
-    for mask, period in _necklaces(n, j):
-        half = period // 2
-        swaps = half % 2 and (mask << half | mask >> n - half) & full == mask ^ full
-        length = half if swaps else period
-        # n twisted steps are the identity
-        if n % length:
-            raise RuntimeError(f"twisted length {length} does not divide {n}")
-        yield length
 
 
 def _cycle(start, step) -> list:
@@ -402,10 +385,22 @@ def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
     return _records(n, _necklaces(n, j))
 
 
+def _periods(n: int, j: int) -> Counter:
+    """How many necklaces of the (n, j) cell have each period, from one
+    C-level tally of the gap walk.  The orbit of a necklace of period p has
+    p masks, so the tally must add up to the cell's C(n, j) masks."""
+    periods = Counter(map(itemgetter(1), _necklaces(n, j)))
+    masks = sum(p * count for p, count in periods.items())
+    if masks != comb(n, j):
+        raise RuntimeError(f"necklace periods add up to {masks} masks, not C({n}, {j})")
+    return periods
+
+
 def count_even_orbits(n: int, j: int) -> int:
-    """Number of rotation orbits with even period."""
+    """Number of rotation orbits with even period, from the cell's period
+    tally, _periods, which checks the cell's rank."""
     check_enumeration(n, j)
-    return sum(1 for _, period in _necklaces(n, j) if period % 2 == 0)
+    return sum(count for p, count in _periods(n, j).items() if p % 2 == 0)
 
 
 def even_orbit_counts(n: int) -> list[list[int]]:
@@ -666,14 +661,37 @@ def swap_action(rec: TwistedOrbitRecord) -> TwistedOrbitRecord:
     return twisted_orbit_record_of(rotate(rec.canonical, 1))
 
 
+def _odd_twisted_count(j: int) -> int:
+    """O(j), the number of balanced (2j, j) necklaces of odd twisted length
+    d, with no walk.  Rotating such a necklace by d swaps its colors, so it
+    is (v v')^(j/d) for an odd d | j, with v' the d-bead word v with its
+    colors swapped and v v' primitive.  Each rotation of v v' is again one,
+    so each d adds the primitive v v' of the 2^d words v, divided by 2d."""
+    total = 0
+    for d in (d for d in range(1, j + 1, 2) if j % d == 0):
+        swap = (1 << d) - 1
+        words = (_word(v | (v ^ swap) << d, 2 * d) for v in range(1 << d))
+        # primitive: its doubled word holds it only at 0 and 2d
+        primitive = sum((w + w).find(w, 1) == 2 * d for w in words)
+        q, r = divmod(primitive, 2 * d)
+        if r:
+            raise RuntimeError(f"{primitive} primitive v v' are not whole {2 * d}-bead necklaces")
+        total += q
+    return total
+
+
 def count_even_twisted_orbits(j: int) -> int:
     """Number of twisted orbits of even length, with no orbit walked: such
     an orbit joins a two-bead-rotation half of one necklace with the color
     swap of its other half, so these orbits match one for one the necklaces
-    whose twisted length is even.  That length is an O(1) test on the
-    necklace's least mask and period, by `_twisted_lengths`."""
+    whose twisted length is even: the cell's necklaces, from its period
+    tally, _periods, less the O(j) of odd twisted length, _odd_twisted_count.
+    A balanced word has even period, so an odd period in the tally raises."""
     n = _balanced_cell(j)
-    return sum(length % 2 == 0 for length in _twisted_lengths(n, j))
+    periods = _periods(n, j)
+    if any(p % 2 for p in periods):
+        raise RuntimeError(f"odd periods {sorted(periods)} in the balanced ({n}, {j}) cell")
+    return sum(periods.values()) - _odd_twisted_count(j)
 
 
 def count_even_twisted_swap_fixed(j: int) -> int:

@@ -343,14 +343,15 @@ def test_verify_clamps_pool_to_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert verify(3, 1, jobs=64).ok
-    assert all(w <= (os.cpu_count() or 1) for w in asked)
+    assert verify(3, 2, jobs=64).ok
+    assert asked and all(w <= (os.cpu_count() or 1) for w in asked)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     asked.clear()
-    verify(3, 3, jobs=64)  # four work items: the untwisted walk, twisted j = 1..3
-    verify(3, 1, jobs=64)  # two work items
+    verify(3, 4, jobs=64)  # four work items: the walk with twisted j = 1, then j = 2..4
+    verify(3, 2, jobs=64)  # two work items
     verify(1, 0, jobs=64)  # one work item, run with no pool
-    verify(3, 1, jobs=1)
+    verify(8, 4, jobs=64)  # every twisted cell folded into the walk: one item
+    verify(3, 2, jobs=1)
     assert asked == [4, 2]
 
 
@@ -372,14 +373,18 @@ def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
 
     monkeypatch.setattr(necklaces, "even_orbit_counts", slow_walk)
     monkeypatch.setattr(necklaces, "count_even_twisted_orbits", slow_count)
-    cells = verify(4, 2).cells
+    cells = verify(4, 3).cells
     # one walk feeds the 2^5 - 1 masks of the untwisted cells with n <= 4
     untwisted = [c for c in cells if not c.twisted]
     assert len(untwisted) == 15
     assert sum(c.seconds for c in untwisted) >= 0.04
     assert all(c.seconds >= 0.04 * comb(c.n, c.j) / 31 for c in untwisted)
-    # a twisted cell is a work item of its own and takes its whole count
-    assert all(c.seconds >= 0.04 for c in cells if c.twisted)
+    # twisted j = 1, 2 are folded into the walk and take none of it; j = 3
+    # is a work item of its own and takes its whole count
+    twisted = [c for c in cells if c.twisted]
+    assert [c.j for c in twisted] == [1, 2, 3]
+    assert all(c.seconds < 0.04 for c in twisted[:2])
+    assert twisted[2].seconds >= 0.04
 
 
 def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
@@ -399,13 +404,18 @@ def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
     monkeypatch.setattr(necklaces, "_lyndon_counts", counted_rows)
     monkeypatch.setattr(necklaces, "_necklaces", counted)
     assert verify(8, 3).ok
-    # one row walk to max_n, and one gap walk per twisted j
-    assert calls == [("rows", 8), (2, 1), (4, 2), (6, 3)]
+    # one row walk to max_n feeds the twisted cells with 2j <= max_n too
+    assert calls == [("rows", 8)]
+    calls.clear()
+    # a twisted cell past the walk takes one gap walk of its own
+    assert verify(6, 4).ok
+    assert calls == [("rows", 6), (8, 4)]
 
 
 def test_verify_parallel_matches_serial():
-    serial = verify(6, 3)
-    parallel = verify(6, 3, jobs=2)
+    # twisted j = 4 is past the walk to 6 beads, so there are two work items
+    serial = verify(6, 4)
+    parallel = verify(6, 4, jobs=2)
     strip = lambda cells: [(c.n, c.j, c.twisted, c.closed, c.oracle, c.ok) for c in cells]
     assert strip(serial.cells) == strip(parallel.cells)
     assert parallel.ok

@@ -22,9 +22,9 @@ from gwbinom.necklaces import (
     _from_word,
     _lyndon_counts,
     _necklaces,
+    _odd_twisted_count,
     _reflect,
     _rot_mask,
-    _twisted_lengths,
     _twisted_step,
     _word,
     aperiodic_count,
@@ -816,15 +816,29 @@ def test_twisted_orbits_refuse_bad_j_when_called():
             twisted(13)
 
 
+def _swap_halves(word, d):
+    """word is (v v')^k for the d-bead word v, v' its color swap."""
+    v = word[:d]
+    return word == (v + v.translate(str.maketrans("01", "10"))) * (len(word) // (2 * d))
+
+
 def test_twisted_length_equals_the_walk():
-    # the half-period test against the orbit walk, from both starts of every
-    # (2j, j) necklace: its least mask and that mask rotated by one bead
+    # the lemma behind O(j), necklace by necklace on the gap walk: the orbit
+    # walk has the same length from both starts of every (2j, j) necklace,
+    # its least mask and that mask rotated by one bead, and it is odd exactly
+    # when the word is (v v')^(j/d) for an odd d | j, the least such d; O(j)
+    # counts those necklaces
     for j in range(1, 11):
         n = 2 * j
         step = _twisted_step(n)
-        for (least, _), length in zip(_necklaces(n, j), _twisted_lengths(n, j), strict=True):
-            for start in (least, _rot_mask(least, n, 1)):
-                assert length == len(_cycle(start, step)), (j, start)
+        odd = 0
+        for least, _ in _necklaces(n, j):
+            length = len(_cycle(least, step))
+            assert length == len(_cycle(_rot_mask(least, n, 1), step)), (j, least)
+            forms = [d for d in range(1, j + 1, 2) if j % d == 0 and _swap_halves(_word(least, n), d)]
+            assert length == min(forms) if forms else length % 2 == 0, (j, least)
+            odd += length % 2
+        assert _odd_twisted_count(j) == odd, j
 
 
 def _least_masks(n, j):
@@ -844,16 +858,55 @@ def _least_masks(n, j):
     return sorted(found)
 
 
-def test_half_period_twisted_length_on_the_row_walk(monkeypatch):
-    # the half-period test fed balanced necklaces found by rotating masks,
-    # not by the gap walk, must agree with the orbit walk there too
+def test_half_period_twisted_length_on_the_row_walk():
+    # balanced necklaces found by rotating masks, not by the gap walk: an
+    # odd twisted length is half the period and that rotation swaps the
+    # colors, and O(j) counts the necklaces with one, so (18, 9) is checked
+    # with no gap walk
     for j in range(1, 10):
         n = 2 * j
         step = _twisted_step(n)
         balanced = _least_masks(n, j)
         assert balanced == list(_necklaces(n, j))
-        monkeypatch.setattr("gwbinom.necklaces._necklaces", lambda n, j: iter(balanced))
-        assert list(_twisted_lengths(n, j)) == [len(_cycle(m, step)) for m, _ in balanced], j
+        odd = [(m, period) for m, period in balanced if len(_cycle(m, step)) % 2]
+        for m, period in odd:
+            assert len(_cycle(m, step)) == period // 2
+            assert _rot_mask(m, n, period // 2) == m ^ (1 << n) - 1, (j, m)
+        assert _odd_twisted_count(j) == len(odd), j
+
+
+def test_odd_twisted_count_is_half_the_odd_records():
+    # each necklace of odd twisted length gives two twisted orbits, walked
+    # from its least mask and from that mask's one-bead rotation
+    counts = [_odd_twisted_count(j) for j in range(1, 11)]
+    assert counts == [1, 1, 2, 1, 4, 2, 10, 1, 30, 4]
+    for j, count in enumerate(counts, 1):
+        assert 2 * count == sum(r.twisted_period % 2 for r in enumerate_twisted_orbits(j)), j
+
+
+def test_odd_twisted_count_walks_no_orbit_and_keeps_no_set(monkeypatch):
+    import gwbinom.necklaces as necklaces
+
+    def refuse(*args):
+        raise AssertionError("orbit walked, rotation called or set built")
+
+    for name in ("_cycle", "_rot_mask", "_necklaces", "set"):
+        monkeypatch.setattr(necklaces, name, refuse, raising=False)
+    assert [_odd_twisted_count(j) for j in (9, 11, 12)] == [30, 94, 2]
+
+
+def test_single_cell_counts_check_their_rank(monkeypatch):
+    # the orbits of a cell's necklaces must cover its C(n, j) masks, and a
+    # balanced cell has no odd period
+    walk = _necklaces
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", lambda n, j: list(walk(n, j))[:-1])
+    with pytest.raises(RuntimeError, match=r"add up to 48 masks, not C\(8, 3\)"):
+        count_even_orbits(8, 3)
+    with pytest.raises(RuntimeError, match=r"add up to 68 masks, not C\(8, 4\)"):
+        count_even_twisted_orbits(4)
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", lambda n, j: iter([(0b0011, 3), (0b0101, 3)]))
+    with pytest.raises(RuntimeError, match=r"odd periods \[3\] in the balanced \(4, 2\) cell"):
+        count_even_twisted_orbits(2)
 
 
 def test_even_twisted_count_matches_the_records():
@@ -871,7 +924,7 @@ def test_even_twisted_count_sequence():
 
 def test_even_twisted_count_walks_no_orbit(monkeypatch):
     # neither an orbit walk nor a rotation call per necklace: the
-    # half-period rotation is written out in the loop
+    # necklaces are tallied by period, and O(j) lists words, not orbits
     def refuse(*args):
         raise AssertionError("orbit walked or rotation called")
 

@@ -39,6 +39,16 @@ except RuntimeError as exc:
     print("raised", exc)
 """
 
+MISREAD_WORD = """
+import gwbinom.necklaces as necklaces
+word = necklaces._word
+necklaces._word = lambda mask, n: "00" if (mask, n) == (0b10, 2) else word(mask, n)
+try:
+    necklaces.count_even_twisted_orbits(1)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
 WRONG_PERIOD = """
 import gwbinom.necklaces as necklaces
 necklaces._necklaces = lambda n, j: iter([(0b1100, 2)])
@@ -73,10 +83,18 @@ def test_wrong_mobius_raises_under_O():
 
 
 def test_bogus_twisted_period_raises_under_O():
-    # period 3 does not divide the 4 beads, so no twisted length can
+    # one necklace of period 3 covers 3 of the C(4, 2) = 6 balanced masks
     proc = run_optimized("-c", BOGUS_NECKLACE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised twisted length 3 does not divide 4")
+    assert proc.stdout.startswith("raised necklace periods add up to 3 masks, not C(4, 2)")
+
+
+def test_odd_twisted_count_remainder_raises_under_O():
+    # with 10 misread as 00, only one of the two 2-bead words v v' is counted
+    # primitive, and one word is no whole necklace of two rotations
+    proc = run_optimized("-c", MISREAD_WORD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised 1 primitive v v' are not whole 2-bead necklaces")
 
 
 def test_wrong_period_fails_the_reflection_check_under_O():
