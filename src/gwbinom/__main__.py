@@ -3,7 +3,8 @@ import sys
 
 from .cli import main
 
-# The start-up objects (modules, classes, functions) live as long as the
-# process; frozen, no later collection walks them.
+# A run is one short command, so the cyclic collector stays off; the start-up
+# objects are frozen first, so the collection at interpreter exit skips them.
 gc.freeze()
+gc.disable()
 sys.exit(main())

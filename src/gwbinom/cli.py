@@ -15,8 +15,8 @@ numbers, so --q only checks that the field order is an odd prime power.
 Each subcommand imports the modules it calls in its own body, and csv is
 imported only for CSV output, so a run loads only what its command uses and
 --help loads no command module.  ``python -m gwbinom`` freezes its start-up
-objects out of the cyclic collector before calling ``main``; ``main`` itself
-leaves the collector alone.
+objects and turns the cyclic collector off before calling ``main``, as a
+run's objects live until it exits; ``main`` itself leaves the collector alone.
 """
 
 from __future__ import annotations

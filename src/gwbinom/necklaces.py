@@ -15,10 +15,11 @@ word.  On top of the three generators
   * flip(l)          -- reflection through the top bead, p -> (n - p) mod n,
   * color_swap(l)    -- exchange blue and red everywhere,
 
-the module enumerates rotation orbits with their periods, reads whether
-the flip preserves an orbit off one search of the reversed word in the
-doubled word (_orbits), and its symmetry axes (type 1 passes between beads,
-type 2 through at least one bead) off the place of a hit (_axes), splits an
+the module enumerates rotation orbits with their periods, lists the orbits
+of a cell that the flip preserves from their mirror words, those fixed by
+p -> -p or p -> 1 - p (_flip_fixed_orbits), reads the symmetry axes of each
+(type 1 passes between beads, type 2 through at least one bead) off one
+search of the reversed word in the doubled word (_axes), splits an
 even-length orbit into its two interleaved half-length orbits, strips or
 inserts the pair of beads sitting on a through-beads axis, and enumerates
 the twisted orbits in which one group step rotates a single bead and then
@@ -51,8 +52,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from math import comb, gcd
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .arith import (_require_balanced, _require_cell, _require_even, _require_int,
                     _require_positive, mobius)
@@ -60,7 +62,7 @@ from .arith import (_require_balanced, _require_cell, _require_even, _require_in
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
 # Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
-# process RSS): enumerate_orbits(24, 12) 0.44-0.60 s in 31 MB; in 15 MB each,
+# process RSS): enumerate_orbits(24, 12) 0.38-0.39 s in 32 MB; in 15 MB each,
 # count_even_twisted_orbits(12) 0.09-0.11 s and even_orbit_counts(24), the tally
 # over the 1,465,020 prenecklaces that counts every row up to 24, 0.31-0.40 s.
 MAX_MASKS = comb(24, 12)
@@ -223,14 +225,17 @@ class OrbitRecord:
         return self.canonical.j
 
 
-def _axes(word: str, period: int, i: int) -> tuple[AxisIndex, ...]:
-    """The axis classes of the flip-fixed orbit of word, of period period,
-    given a window i of word + word that holds the reversed word,
-    _reflect(word, n - 1), as _orbits' search finds it.  That window is
-    word read from bead i exactly when r^(n-1+i) f fixes word.  The fixing
-    reflections are r^(m + t*period) f for the least such m, and rotating
-    the word shifts every m by 2, so the classes are these m mod 2*period."""
+def _axes(word: str, period: int) -> tuple[AxisIndex, ...]:
+    """The axis classes of the orbit of word, of period period, from one
+    search of the reversed word, _reflect(word, n - 1), in word + word;
+    empty when it misses, as the flip then moves the orbit.  A window i
+    holds it exactly when r^(n-1+i) f fixes word.  The fixing reflections
+    are r^(m + t*period) f for the least such m, and rotating the word
+    shifts every m by 2, so the classes are these m mod 2*period."""
     n = len(word)
+    i = (word + word).find(word[::-1])
+    if i < 0:
+        return ()
     m = (n - 1 + i) % period
     ms = (m,) if n // period % 2 else (m, m + period)
     for m in ms:
@@ -239,28 +244,61 @@ def _axes(word: str, period: int, i: int) -> tuple[AxisIndex, ...]:
     return tuple(AxisIndex(m, TYPE1 if n % 2 == 0 and m % 2 else TYPE2) for m in ms)
 
 
-def _orbits(n: int, pairs):
-    """Yield (least, word, period, axes) for each (least mask, period) of
-    pairs, rotation orbits of n-bead masks, with no OrbitRecord: one word
-    and one search of the reversed word in the doubled word per orbit, and
-    axes by _axes only where it hits (252 of the 32,066 orbits of (22, 11));
-    elsewhere the flip moves the orbit and axes is empty."""
-    for least, period in pairs:
+def _mirror_words(n: int, j: int):
+    """Yield (eps, mask) for each n-bead word of popcount j fixed by f_eps,
+    p -> (eps - p) mod n, eps = 0, 1: k of its on-axis beads (2p = eps mod
+    n) and (j - k)/2 of its mirror pairs {p, (eps - p) mod n} are blue."""
+    for eps in (0, 1):
+        axis = [1 << p for p in range(n) if (2 * p - eps) % n == 0]
+        pairs = [1 << p | 1 << (eps - p) % n for p in range(n) if p < (eps - p) % n]
+        for k in range(j % 2, min(j, len(axis)) + 1, 2):
+            for beads in combinations(axis, k):
+                for two in combinations(pairs, (j - k) // 2):
+                    yield eps, sum(beads) + sum(two)
+
+
+def _flip_fixed_orbits(n: int, j: int) -> list[int]:
+    """The ascending least masks of the (n, j) orbits that the flip fixes,
+    from their mirror words rotated to least, with no walk.  Such an orbit
+    holds n pairs (word, m) with r^m f fixing the word; rotating by s makes
+    m into m + 2s, so as many pairs have m = 0 as any even m, as many m = 1
+    as any odd m, and two have m < 2: each least mask comes twice, or this raises."""
+    full = (1 << n) - 1
+    leasts = sorted([min([d >> k & full for k in range(n)])
+                     for _, w in _mirror_words(n, j) for d in [w | w << n]])
+    fixed = leasts[::2]
+    if leasts[1::2] != fixed or not all(map(lt, fixed, fixed[1:])):
+        raise RuntimeError(f"mirror words of ({n}, {j}) do not meet each flip-fixed orbit twice")
+    return fixed
+
+
+def _orbits(n: int, j: int):
+    """Yield (least, word, period, axes) for each rotation orbit of the
+    (n, j) cell, ascending, with no OrbitRecord: the gap walk, _necklaces,
+    merged with _flip_fixed_orbits, whose orbits alone are searched by _axes
+    (252 of the 32,066 at (22, 11)); elsewhere axes is empty.  A listed
+    orbit that the search misses or the walk never meets raises."""
+    listed = iter(_flip_fixed_orbits(n, j))
+    want = next(listed, None)
+    for least, period in _necklaces(n, j):
         word = _word(least, n)
-        i = (word + word).find(word[::-1])  # _reflect(word, n - 1) as one slice
-        yield least, word, period, () if i < 0 else _axes(word, period, i)
-
-
-def _records(n: int, pairs) -> tuple[OrbitRecord, ...]:
-    """The OrbitRecord of each (least mask, period) of pairs."""
-    return tuple(OrbitRecord(Necklace(n, least), period, axes)
-                 for least, _, period, axes in _orbits(n, pairs))
+        if least != want:
+            yield least, word, period, ()
+            continue
+        axes = _axes(word, period)
+        if not axes:
+            raise RuntimeError(f"the flip moves the listed orbit of {word}")
+        want = next(listed, None)
+        yield least, word, period, axes
+    if want is not None:
+        raise RuntimeError(f"the walk of ({n}, {j}) never met the listed orbit of {_word(want, n)}")
 
 
 def orbit_record_of(l: Necklace) -> OrbitRecord:
     """Record of the rotation orbit containing l."""
     orbit = _cycle(l.blues, lambda m: _rot_mask(m, l.size, 1))
-    return _records(l.size, [(min(orbit), len(orbit))])[0]
+    least, period = min(orbit), len(orbit)
+    return OrbitRecord(Necklace(l.size, least), period, _axes(_word(least, l.size), period))
 
 
 def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
@@ -380,9 +418,10 @@ def _necklaces(n: int, j: int):
 
 def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
     """All rotation orbits of necklaces with j blues among n beads,
-    sorted by canonical bitmask."""
+    sorted by canonical bitmask; _orbits searches only the flip-fixed ones."""
     check_enumeration(n, j)
-    return _records(n, _necklaces(n, j))
+    return tuple(OrbitRecord(Necklace(n, least), period, axes)
+                 for least, _, period, axes in _orbits(n, j))
 
 
 def _periods(n: int, j: int) -> Counter:
@@ -407,14 +446,23 @@ def even_orbit_counts(n: int) -> list[list[int]]:
     """rows[k][j], the number of rotation orbits of k-bit masks of popcount
     j with even period, for every k = 0..n, from one walk, _lyndon_counts:
     a k-bead necklace of period p is w^(k/p) for a Lyndon word w of length
-    p.  Row 0 is the empty necklace, one orbit of odd period one.  The
-    largest cell, (n, n // 2), must fit the enumeration budget."""
+    p, whose orbit has p masks, so the Lyndon words weighted by length must
+    add up to C(k, j) in every cell with k >= 1, else this raises.  Row 0 is
+    the empty necklace, one orbit of odd period one.  The largest cell,
+    (n, n // 2), must fit the enumeration budget."""
     check_enumeration(n, n // 2)
     rows = [[0] * (k + 1) for k in range(n + 1)]
-    for p, words in zip(range(2, n + 1, 2), _lyndon_counts(n)[2::2]):
+    masks = [[0] * (k + 1) for k in range(n + 1)]
+    for p, words in enumerate(_lyndon_counts(n)[1:], 1):
         for ones, count in enumerate(words):
             for k in range(p, n + 1, p):
-                rows[k][ones * k // p] += count
+                masks[k][ones * k // p] += p * count
+                if p % 2 == 0:
+                    rows[k][ones * k // p] += count
+    for k in range(1, n + 1):
+        for j, total in enumerate(masks[k]):
+            if total != comb(k, j):
+                raise RuntimeError(f"Lyndon words add up to {total} masks, not C({k}, {j})")
     return rows
 
 
@@ -433,9 +481,9 @@ def aperiodic_count(n: int, j: int) -> int:
 
 
 def odd_flip_fixed_count(n: int, j: int) -> int:
-    """Number of flip-fixed orbits of odd period, by enumeration."""
+    """Number of flip-fixed orbits of odd period, of those _orbits lists and searches."""
     check_enumeration(n, j)
-    return sum(period % 2 for _, _, period, axes in _orbits(n, _necklaces(n, j)) if axes)
+    return sum(period % 2 for _, _, period, axes in _orbits(n, j) if axes)
 
 
 def odd_flip_fixed_closed_form(n: int, j: int) -> int:
@@ -475,12 +523,13 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
 
     The two even-period families are disjoint (an even-period orbit's
     axis classes all share one type); odd-period flip-fixed orbits carry
-    one axis of each type.  Defined for even n only.
+    one axis of each type.  Defined for even n only.  Only the orbits
+    listed from the cell's mirror words, by _orbits, are searched for axes.
     """
     check_enumeration(n, j)
     _require_even(n, "n")
     return _classify_flip_fixed(
-        (period, axes) for _, _, period, axes in _orbits(n, _necklaces(n, j)) if axes)
+        (period, axes) for _, _, period, axes in _orbits(n, j) if axes)
 
 
 def _classify_flip_fixed(fixed) -> FlipFixedCounts:
@@ -710,14 +759,14 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
 
     Each orbit's dict is built from the word, period and axes that
     _orbits yields, with no OrbitRecord; the (period, axes) pairs of the
-    flip-fixed orbits, 252 of the 32,066 at (22, 11), feed the
-    classification.  With classify, an odd n is refused before any
-    enumeration."""
+    flip-fixed orbits, 252 of the 32,066 at (22, 11) and the only ones
+    searched, feed the classification.  With classify, an odd n is refused
+    before any enumeration or listing."""
     check_enumeration(n, j)
     if classify:
         _require_even(n, "n")
     orbits, fixed = [], []
-    for _, word, period, axes in _orbits(n, _necklaces(n, j)):
+    for _, word, period, axes in _orbits(n, j):
         if axes:
             fixed.append((period, axes))
         listed = [{"m": a.m, "type": a.axis_type} for a in axes] if axes else []

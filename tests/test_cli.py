@@ -314,6 +314,7 @@ def test_necklaces_classify_odd_n_fails_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._flip_fixed_orbits", no_enumeration)
     code, out, err = run(capsys, "necklaces", "--n", "23", "--j", "11", "--classify")
     assert (code, out, err) == (2, "", "error: even n required, got 23\n")
 
@@ -324,7 +325,12 @@ def test_necklaces_text(capsys):
     assert "orbits of (n=4, j=2): 2" in out
 
 
-def test_necklaces_limit_breach(capsys):
+def test_necklaces_limit_breach(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._flip_fixed_orbits", no_enumeration)
     code, _, err = run(capsys, "necklaces", "--n", "26", "--j", "13")
     assert code == 2 and "enumeration budget" in err
 
@@ -525,14 +531,15 @@ def test_cli_import_leaves_out_the_process_pool():
 
 
 # Runs `python -m gwbinom` with the given arguments, then reports on stderr
-# whether the start-up objects were frozen and which modules were loaded.
+# whether the cyclic collector was off with the start-up objects frozen, and
+# which modules were loaded.
 _MODULES_LOADED = """
 import gc, runpy, sys
 try:
     runpy.run_module("gwbinom", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-print(gc.get_freeze_count() > 0, *sorted(sys.modules), file=sys.stderr)
+print(not gc.isenabled() and gc.get_freeze_count() > 0, *sorted(sys.modules), file=sys.stderr)
 """
 _WATCHED = {"gwbinom.coefficients", "gwbinom.gw", "gwbinom.necklaces", "fractions", "csv"}
 _CELLS = {"gwbinom.coefficients", "gwbinom.gw"}
@@ -562,13 +569,13 @@ def test_each_command_loads_only_its_modules(argv, loaded):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
                           capture_output=True, text=True, env=env)
-    frozen, *modules = proc.stderr.splitlines()[-1].split()
-    assert proc.returncode == 0 and frozen == "True", proc.stderr
+    collector_off, *modules = proc.stderr.splitlines()[-1].split()
+    assert proc.returncode == 0 and collector_off == "True", proc.stderr
     assert _WATCHED.intersection(modules) == loaded
 
 
 def test_main_leaves_the_collector_alone(capsys):
-    # only `python -m gwbinom` freezes its start-up objects; main runs in
+    # only `python -m gwbinom` freezes and turns off the collector; main runs in
     # tests, demos and the benchmark's traced passes too
     import gc
 

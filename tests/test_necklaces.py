@@ -19,8 +19,10 @@ from gwbinom.necklaces import (
     EnumerationLimitError,
     Necklace,
     _cycle,
+    _flip_fixed_orbits,
     _from_word,
     _lyndon_counts,
+    _mirror_words,
     _necklaces,
     _odd_twisted_count,
     _reflect,
@@ -312,6 +314,21 @@ def test_row_walk_makes_no_call_per_prenecklace():
     assert len(calls) < 30, len(calls)
 
 
+def test_row_walk_checks_its_rank(monkeypatch):
+    # dropping 001, an odd-length word that no even row counts, still breaks
+    # the rank of (3, 1) and every row after it
+    lyndon = _lyndon_counts
+
+    def dropped(n):
+        counts = lyndon(n)
+        counts[3][1] -= 1
+        return counts
+
+    monkeypatch.setattr("gwbinom.necklaces._lyndon_counts", dropped)
+    with pytest.raises(RuntimeError, match=r"add up to 0 masks, not C\(3, 1\)"):
+        even_orbit_counts(6)
+
+
 def test_odd_bead_count_has_no_even_orbits():
     for n in (1, 3, 5, 7, 9, 11):
         for j in range(n + 1):
@@ -401,6 +418,7 @@ def test_gated_enumerators_refuse_before_enumerating(monkeypatch, name):
 
     monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
     monkeypatch.setattr("gwbinom.necklaces._lyndon_counts", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._flip_fixed_orbits", no_enumeration)
     enumerator = _GATED[name]
     refusals = [
         (0, 0, ValueError, "positive n required, got 0"),
@@ -467,6 +485,46 @@ def test_enumeration_matches_brute_force_on_small_cells(cell):
     ref = _ref_orbits(*cell)
     assert _records(*cell) == ref
     assert count_even_orbits(*cell) == sum(1 for rec in ref if rec[1] % 2 == 0)
+
+
+def test_mirror_words_meet_each_flip_fixed_orbit_twice():
+    # the two-pairs lemma, against brute force: each word fixed by f_0 or
+    # f_1 lies in a flip-fixed orbit, and each such orbit holds two of them
+    for n in range(1, 17):
+        for j in range(n + 1):
+            fixed = [canon.blues for canon, _, flip_fixed, _ in _ref_orbits(n, j) if flip_fixed]
+            leasts = []
+            for eps, mask in _mirror_words(n, j):
+                word = _word(mask, n)
+                assert mask.bit_count() == j and _reflect(word, eps) == word, (n, j, eps, word)
+                leasts.append(min(_rot_mask(mask, n, k) for k in range(n)))
+            leasts.sort()
+            assert leasts[::2] == leasts[1::2] == fixed, (n, j)
+            assert _flip_fixed_orbits(n, j) == fixed, (n, j)
+
+
+def test_mirror_word_and_walk_faults_raise(monkeypatch):
+    # a repeated mirror word meets its orbit three times; a listed orbit
+    # that the flip moves fails its search; a walk without 000111 never
+    # meets that listed orbit
+    words, walk = _mirror_words, _necklaces
+
+    def repeated(n, j):
+        yield next(words(n, j))
+        yield from words(n, j)
+
+    with monkeypatch.context() as m:
+        m.setattr("gwbinom.necklaces._mirror_words", repeated)
+        with pytest.raises(RuntimeError, match=r"mirror words of \(6, 3\) do not meet each"):
+            classify_flip_fixed(6, 3)
+    with monkeypatch.context() as m:
+        m.setattr("gwbinom.necklaces._flip_fixed_orbits", lambda n, j: [0b001011])
+        with pytest.raises(RuntimeError, match="the flip moves the listed orbit of 110100"):
+            classify_flip_fixed(6, 3)
+    monkeypatch.setattr("gwbinom.necklaces._necklaces",
+                        lambda n, j: (pair for pair in walk(n, j) if pair != (0b000111, 6)))
+    with pytest.raises(RuntimeError, match=r"walk of \(6, 3\) never met the listed orbit of 111000"):
+        classify_flip_fixed(6, 3)
 
 
 def test_even_count_keeps_no_per_mask_state():
@@ -1118,40 +1176,45 @@ def test_flip_fixed_counts_build_records_only_for_flip_fixed_orbits(monkeypatch)
                 assert asdict(classify_flip_fixed(n, j)) == want, (n, j)
 
     # 20 of the 80 orbits of (12, 6) are flip-fixed; the counts and the
-    # catalog build no record, search each orbit's doubled word once, and
-    # classify axes only on the 20 orbits where the search hits
+    # catalog build no record and search only the doubled words of those 20,
+    # the orbits their mirror words list
     records = enumerate_orbits(12, 6)
     assert len(records) == 80 and sum(rec.flip_fixed for rec in records) == 20
-    doubled = [rec.canonical.bitstring() * 2 for rec in records]
-    fixed = [rec.canonical.bitstring() for rec in records if rec.flip_fixed]
-    built, searched, classified = [], [], []
-    real_records, real_axes = necklaces._records, necklaces._axes
-    monkeypatch.setattr(necklaces, "_records",
-                        lambda *args: built.append(args) or real_records(*args))
-    monkeypatch.setattr(necklaces, "_axes",
-                        lambda word, *args: classified.append(word) or real_axes(word, *args))
+    fixed = [rec.canonical.bitstring() * 2 for rec in records if rec.flip_fixed]
+    built, searched = [], []
+    real_record = necklaces.OrbitRecord
+    monkeypatch.setattr(necklaces, "OrbitRecord",
+                        lambda *args: built.append(args) or real_record(*args))
 
     def searches(frame, event, arg):  # the search is str.find, a C call
         if event == "c_call" and arg.__name__ == "find" and type(arg.__self__) is str:
             searched.append(arg.__self__)
 
-    for count in (classify_flip_fixed, odd_flip_fixed_count, orbit_catalog,
-                  lambda n, j: orbit_catalog(n, j, classify=True)):
+    def profiled(call):
         built.clear()
         searched.clear()
-        classified.clear()
         sys.setprofile(searches)
         try:
-            count(12, 6)
+            return call()
         finally:
             sys.setprofile(None)
-        assert built == [] and searched == doubled and classified == fixed, count
 
-    # an odd n is refused before the generator is walked
+    for count in (classify_flip_fixed, odd_flip_fixed_count, orbit_catalog,
+                  lambda n, j: orbit_catalog(n, j, classify=True)):
+        profiled(lambda: count(12, 6))
+        assert built == [] and searched == fixed, count
+
+    # one orbit of any cell, flip-fixed or not: its record searches it
+    for rec in (records[0], next(rec for rec in records if not rec.flip_fixed)):
+        assert profiled(lambda: orbit_record_of(rotate(rec.canonical, 5))) == rec
+        assert len(built) == 1 and searched == [rec.canonical.bitstring() * 2]
+
+    # an odd n is refused before the generator is walked or any word listed
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(necklaces, "_necklaces", no_enumeration)
+    monkeypatch.setattr(necklaces, "_flip_fixed_orbits", no_enumeration)
     with pytest.raises(ValueError, match="even n required, got 23"):
         classify_flip_fixed(23, 11)
 

@@ -52,8 +52,48 @@ except RuntimeError as exc:
 WRONG_PERIOD = """
 import gwbinom.necklaces as necklaces
 necklaces._necklaces = lambda n, j: iter([(0b1100, 2)])
+necklaces._flip_fixed_orbits = lambda n, j: [0b1100]
 try:
     necklaces.classify_flip_fixed(4, 2)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+MIRROR_FAULTS = """
+import gwbinom.necklaces as necklaces
+words, walk = necklaces._mirror_words, necklaces._necklaces
+
+def repeated(n, j):
+    yield next(words(n, j))
+    yield from words(n, j)
+
+def skipping(n, j):
+    return (pair for pair in walk(n, j) if pair != (0b000111, 6))
+
+lister = necklaces._flip_fixed_orbits
+faults = (("_mirror_words", repeated, words), ("_flip_fixed_orbits", lambda n, j: [0b001011], lister),
+          ("_necklaces", skipping, walk))
+for name, fault, real in faults:
+    setattr(necklaces, name, fault)
+    try:
+        necklaces.classify_flip_fixed(6, 3)
+    except RuntimeError as exc:
+        print("raised", exc)
+    setattr(necklaces, name, real)
+"""
+
+DROPPED_LYNDON_WORD = """
+import gwbinom.necklaces as necklaces
+lyndon = necklaces._lyndon_counts
+
+def dropped(n):
+    counts = lyndon(n)
+    counts[3][1] -= 1  # 001, the one Lyndon word of length 3 with one 1
+    return counts
+
+necklaces._lyndon_counts = dropped
+try:
+    necklaces.even_orbit_counts(6)
 except RuntimeError as exc:
     print("raised", exc)
 """
@@ -98,11 +138,31 @@ def test_odd_twisted_count_remainder_raises_under_O():
 
 
 def test_wrong_period_fails_the_reflection_check_under_O():
-    # the word 0011 has period 4; read with period 2 its axis classes
-    # would be m = 1 and m = 3, and r^3 f does not fix it
+    # the word 0011 has period 4; listed as flip-fixed and read with
+    # period 2, its axis classes would be m = 1 and m = 3, and r^3 f does
+    # not fix it
     proc = run_optimized("-c", WRONG_PERIOD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised reflection m=3 does not fix 0011 of period 2")
+
+
+def test_mirror_word_and_walk_faults_raise_under_O():
+    # a repeated mirror word meets its orbit three times; a listed orbit
+    # that the flip moves fails its search; a walk without 000111 never
+    # meets that listed orbit
+    proc = run_optimized("-c", MIRROR_FAULTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised mirror words of (6, 3) do not meet each flip-fixed orbit twice",
+        "raised the flip moves the listed orbit of 110100",
+        "raised the walk of (6, 3) never met the listed orbit of 111000",
+    ]
+
+
+def test_row_walk_rank_raises_under_O():
+    proc = run_optimized("-c", DROPPED_LYNDON_WORD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised Lyndon words add up to 0 masks, not C(3, 1)")
 
 
 def test_wrong_binomial_route_fails_verify_under_O():
