@@ -17,13 +17,14 @@ word.  On top of the three generators
 
 the module enumerates rotation orbits with their periods, lists the orbits
 of a cell that the flip preserves from their mirror words, those fixed by
-p -> -p or p -> 1 - p (_flip_fixed_orbits), reads the symmetry axes of each
-(type 1 passes between beads, type 2 through at least one bead) off one
-search of the reversed word in the doubled word (_axes), splits an
-even-length orbit into its two interleaved half-length orbits, strips or
-inserts the pair of beads sitting on a through-beads axis, and enumerates
-the twisted orbits in which one group step rotates a single bead and then
-swaps the two colors.
+p -> -p or p -> 1 - p, with the kind, how many the latter fixes, that gives
+their symmetry axes' types (type 1 passes between beads, type 2 through at
+least one bead) and every flip-fixed count (_flip_fixed_orbits), reads the
+axes it prints off one search of the reversed word in the doubled word
+(_axes), splits an even-length orbit into its two interleaved half-length
+orbits, strips or inserts the pair of beads sitting on a through-beads
+axis, and enumerates the twisted orbits in which one group step rotates a
+single bead and then swaps the two colors.
 
 Orbits come from one enumerator, _necklaces, the FKM necklace generator
 with O(n) state.  It walks a cell's gap sequences, the runs of red beads
@@ -257,39 +258,50 @@ def _mirror_words(n: int, j: int):
                     yield eps, sum(beads) + sum(two)
 
 
-def _flip_fixed_orbits(n: int, j: int) -> list[int]:
-    """The ascending least masks of the (n, j) orbits that the flip fixes,
-    from their mirror words rotated to least, with no walk.  Such an orbit
-    holds n pairs (word, m) with r^m f fixing the word; rotating by s makes
-    m into m + 2s, so as many pairs have m = 0 as any even m, as many m = 1
-    as any odd m, and two have m < 2: each least mask comes twice, or this raises."""
+def _flip_fixed_orbits(n: int, j: int) -> list[tuple[int, int]]:
+    """(least, kind) of each (n, j) orbit that the flip fixes, ascending,
+    from its mirror words rotated to least, with no walk; kind is how many
+    of its two f_1 fixes.  Such an orbit holds n pairs (word, m) with r^m f
+    fixing the word; rotating by s makes m into m + 2s, so as many pairs
+    have m = 0 as any even m, as many m = 1 as any odd m, and two have
+    m < 2: each least mask comes twice, or this raises.  For an odd n (and
+    period), rotations reach every m: kind 1.  For an even n, the m fixing
+    one word, m0 + t*period mod n, take both parities if the period is
+    odd, kind 1, and else m0's, which rotations keep: kind 0, each axis
+    through beads (type 2), or 2, each between them (type 1); or this raises."""
     full = (1 << n) - 1
-    leasts = sorted([min([d >> k & full for k in range(n)])
-                     for _, w in _mirror_words(n, j) for d in [w | w << n]])
-    fixed = leasts[::2]
-    if leasts[1::2] != fixed or not all(map(lt, fixed, fixed[1:])):
+    words = sorted([(min([d >> k & full for k in range(n)]), eps)
+                    for eps, w in _mirror_words(n, j) for d in [w | w << n]])
+    fixed = [least for least, _ in words[::2]]
+    if [least for least, _ in words[1::2]] != fixed or not all(map(lt, fixed, fixed[1:])):
         raise RuntimeError(f"mirror words of ({n}, {j}) do not meet each flip-fixed orbit twice")
-    return fixed
+    listed = [(least, eps + other) for (least, eps), (_, other) in zip(words[::2], words[1::2])]
+    for least, kind in listed:
+        period = n // [(least | least << n) >> k & full for k in range(n)].count(least)
+        if (kind == 1) != (period % 2 == 1):
+            raise RuntimeError(f"the orbit of {_word(least, n)}, of period {period}, has"
+                               f" {kind} of its 2 mirror words fixed by f_1")
+    return listed
 
 
 def _orbits(n: int, j: int):
-    """Yield (least, word, period, axes) for each rotation orbit of the
+    """Yield (least, word, period, axes, kind) for each rotation orbit of the
     (n, j) cell, ascending, with no OrbitRecord: the gap walk, _necklaces,
     merged with _flip_fixed_orbits, whose orbits alone are searched by _axes
-    (252 of the 32,066 at (22, 11)); elsewhere axes is empty.  A listed
-    orbit that the search misses or the walk never meets raises."""
+    (252 of the 32,066 at (22, 11)) and have a kind; elsewhere axes is () and
+    kind None.  A listed orbit the search misses or the walk never meets raises."""
     listed = iter(_flip_fixed_orbits(n, j))
-    want = next(listed, None)
+    want, kind = next(listed, (None, None))
     for least, period in _necklaces(n, j):
         word = _word(least, n)
         if least != want:
-            yield least, word, period, ()
+            yield least, word, period, (), None
             continue
         axes = _axes(word, period)
         if not axes:
             raise RuntimeError(f"the flip moves the listed orbit of {word}")
-        want = next(listed, None)
-        yield least, word, period, axes
+        yield least, word, period, axes, kind
+        want, kind = next(listed, (None, None))
     if want is not None:
         raise RuntimeError(f"the walk of ({n}, {j}) never met the listed orbit of {_word(want, n)}")
 
@@ -421,7 +433,7 @@ def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
     sorted by canonical bitmask; _orbits searches only the flip-fixed ones."""
     check_enumeration(n, j)
     return tuple(OrbitRecord(Necklace(n, least), period, axes)
-                 for least, _, period, axes in _orbits(n, j))
+                 for least, _, period, axes, _ in _orbits(n, j))
 
 
 def _periods(n: int, j: int) -> Counter:
@@ -481,9 +493,9 @@ def aperiodic_count(n: int, j: int) -> int:
 
 
 def odd_flip_fixed_count(n: int, j: int) -> int:
-    """Number of flip-fixed orbits of odd period, of those _orbits lists and searches."""
+    """Number of flip-fixed orbits of odd period, of kind 1 in _flip_fixed_orbits."""
     check_enumeration(n, j)
-    return sum(period % 2 for _, _, period, axes in _orbits(n, j) if axes)
+    return sum(kind == 1 for _, kind in _flip_fixed_orbits(n, j))
 
 
 def odd_flip_fixed_closed_form(n: int, j: int) -> int:
@@ -518,37 +530,20 @@ class FlipFixedCounts:
 
 
 def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
-    """Counts of flip-fixed orbits: even period with a type-1 axis, even
-    period with a type-2 axis, and odd period.
-
-    The two even-period families are disjoint (an even-period orbit's
-    axis classes all share one type); odd-period flip-fixed orbits carry
-    one axis of each type.  Defined for even n only.  Only the orbits
-    listed from the cell's mirror words, by _orbits, are searched for axes.
-    """
+    """Counts of flip-fixed orbits, for even n only: even period with a
+    type-1 axis, even period with a type-2 axis, and odd period.  An
+    even-period orbit's axes share one type and an odd-period one has both,
+    so these are the orbits of kind 2, 0 and 1 in the cell's mirror
+    listing, _flip_fixed_orbits, which checks that; no walk or search."""
     check_enumeration(n, j)
     _require_even(n, "n")
-    return _classify_flip_fixed(
-        (period, axes) for _, _, period, axes in _orbits(n, j) if axes)
+    return _kind_counts(kind for _, kind in _flip_fixed_orbits(n, j))
 
 
-def _classify_flip_fixed(fixed) -> FlipFixedCounts:
-    """The counts of classify_flip_fixed from the (period, axes) pairs of
-    the flip-fixed orbits of an even-n cell."""
-    t1 = t2 = odd = 0
-    for period, axes in fixed:
-        types = {a.axis_type for a in axes}
-        if period % 2:
-            if types != {TYPE1, TYPE2}:
-                raise RuntimeError(f"odd-period orbit without both axis types: {axes}")
-            odd += 1
-        elif len(types) != 1:
-            raise RuntimeError(f"even-period orbit with mixed axis types: {axes}")
-        elif TYPE1 in types:
-            t1 += 1
-        else:
-            t2 += 1
-    return FlipFixedCounts(t1, t2, odd)
+def _kind_counts(kinds) -> FlipFixedCounts:
+    """classify_flip_fixed's counts from an even-n cell's flip-fixed kinds."""
+    tally = Counter(kinds)
+    return FlipFixedCounts(tally[2], tally[0], tally[1])
 
 
 def color_swap_fixed(rec: OrbitRecord) -> bool:
@@ -757,21 +752,21 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     """JSON-ready catalog of the rotation orbits of (n, j) necklaces, with
     classify_flip_fixed's counts under "classification" when classify.
 
-    Each orbit's dict is built from the word, period and axes that
-    _orbits yields, with no OrbitRecord; the (period, axes) pairs of the
-    flip-fixed orbits, 252 of the 32,066 at (22, 11) and the only ones
-    searched, feed the classification.  With classify, an odd n is refused
-    before any enumeration or listing."""
+    Each orbit's dict is built from the word, period and axes that _orbits
+    yields, with no OrbitRecord; only the flip-fixed orbits, 252 of the
+    32,066 at (22, 11), are searched, and the kinds _orbits yields for them,
+    from its one mirror listing, give the classification.  With classify,
+    an odd n is refused before any enumeration or listing."""
     check_enumeration(n, j)
     if classify:
         _require_even(n, "n")
-    orbits, fixed = [], []
-    for _, word, period, axes in _orbits(n, j):
+    orbits, kinds = [], []
+    for _, word, period, axes, kind in _orbits(n, j):
         if axes:
-            fixed.append((period, axes))
+            kinds.append(kind)
         listed = [{"m": a.m, "type": a.axis_type} for a in axes] if axes else []
         orbits.append({"canonical": word, "period": period, "flip_fixed": bool(axes), "axes": listed})
     out = {"n": n, "j": j, "orbits": orbits}
     if classify:
-        out["classification"] = asdict(_classify_flip_fixed(fixed))
+        out["classification"] = asdict(_kind_counts(kinds))
     return out

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 import pytest
@@ -487,12 +488,26 @@ def test_enumeration_matches_brute_force_on_small_cells(cell):
     assert count_even_orbits(*cell) == sum(1 for rec in ref if rec[1] % 2 == 0)
 
 
+@cache
+def _ref_flip_fixed(n, j):
+    """Brute force: (least, period, axis types) of each flip-fixed (n, j)
+    orbit, and its kind, the f_1 words of its two mirror words: 1 for an odd
+    n, and for an even n 1 with both axis types, 2 with between-beads (type
+    1) axes only and 0 with through-beads (type 2) axes only."""
+    kind_of = {(TYPE1, TYPE2): 1, (TYPE1,): 2, (TYPE2,): 0}
+    return tuple((canon.blues, period, types, 1 if n % 2 else kind_of[types])
+                 for canon, period, flip_fixed, axes in _ref_orbits(n, j) if flip_fixed
+                 for types in [tuple(sorted({a.axis_type for a in axes}))])
+
+
 def test_mirror_words_meet_each_flip_fixed_orbit_twice():
     # the two-pairs lemma, against brute force: each word fixed by f_0 or
-    # f_1 lies in a flip-fixed orbit, and each such orbit holds two of them
+    # f_1 lies in a flip-fixed orbit, and each such orbit holds two of them;
+    # and the kind lemma: its kind is 1 exactly when its period is odd
     for n in range(1, 17):
         for j in range(n + 1):
-            fixed = [canon.blues for canon, _, flip_fixed, _ in _ref_orbits(n, j) if flip_fixed]
+            ref = _ref_flip_fixed(n, j)
+            fixed = [least for least, _, _, _ in ref]
             leasts = []
             for eps, mask in _mirror_words(n, j):
                 word = _word(mask, n)
@@ -500,13 +515,62 @@ def test_mirror_words_meet_each_flip_fixed_orbit_twice():
                 leasts.append(min(_rot_mask(mask, n, k) for k in range(n)))
             leasts.sort()
             assert leasts[::2] == leasts[1::2] == fixed, (n, j)
-            assert _flip_fixed_orbits(n, j) == fixed, (n, j)
+            assert all((kind == 1) == (period % 2 == 1) for _, period, _, kind in ref), (n, j)
+            assert _flip_fixed_orbits(n, j) == [(least, kind) for least, _, _, kind in ref], (n, j)
+
+
+def test_flip_fixed_counts_match_brute_force_with_no_walk_or_search(monkeypatch):
+    # both counts read the mirror listing's kinds alone: no gap walk, row
+    # tally or axis search runs
+    def no_walk(*args):
+        raise AssertionError("walked or searched")
+
+    for name in ("_necklaces", "_lyndon_counts", "_axes"):
+        monkeypatch.setattr(f"gwbinom.necklaces.{name}", no_walk)
+    for n in range(1, 17):
+        for j in range(n + 1):
+            ref = _ref_flip_fixed(n, j)
+            assert odd_flip_fixed_count(n, j) == sum(period % 2 for _, period, _, _ in ref), (n, j)
+            if n % 2 == 0:
+                even = [types for _, period, types, _ in ref if period % 2 == 0]
+                want = {"type1_even": even.count((TYPE1,)), "type2_even": even.count((TYPE2,)),
+                        "odd_fixed": len(ref) - len(even)}
+                assert asdict(classify_flip_fixed(n, j)) == want, (n, j)
+
+
+def _flipped_first_eps(n, j):
+    """_mirror_words with the first word's eps flipped: each orbit still
+    meets two words, but the first one's kind is off by one."""
+    words = _mirror_words(n, j)
+    eps, mask = next(words)
+    yield 1 - eps, mask
+    yield from words
+
+
+def test_mirror_word_of_the_wrong_kind_raises(monkeypatch):
+    # the first mirror word of (4, 2), 0101, read as fixed by f_1: its orbit,
+    # named 1010 and of period 2, still meets two words, but now one of f_1
+    monkeypatch.setattr("gwbinom.necklaces._mirror_words", _flipped_first_eps)
+    for count in (classify_flip_fixed, odd_flip_fixed_count, orbit_catalog):
+        with pytest.raises(RuntimeError, match="the orbit of 1010, of period 2, has 1 of its 2"
+                                               " mirror words fixed by f_1"):
+            count(4, 2)
+
+
+def test_catalog_lists_the_mirror_words_once(monkeypatch):
+    calls = []
+    words = _mirror_words
+    monkeypatch.setattr("gwbinom.necklaces._mirror_words",
+                        lambda n, j: calls.append((n, j)) or words(n, j))
+    orbit_catalog(12, 6, classify=True)
+    assert calls == [(12, 6)]
 
 
 def test_mirror_word_and_walk_faults_raise(monkeypatch):
     # a repeated mirror word meets its orbit three times; a listed orbit
     # that the flip moves fails its search; a walk without 000111 never
-    # meets that listed orbit
+    # meets that listed orbit.  Only the catalog and the records merge the
+    # walk with the listing.
     words, walk = _mirror_words, _necklaces
 
     def repeated(n, j):
@@ -516,15 +580,15 @@ def test_mirror_word_and_walk_faults_raise(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("gwbinom.necklaces._mirror_words", repeated)
         with pytest.raises(RuntimeError, match=r"mirror words of \(6, 3\) do not meet each"):
-            classify_flip_fixed(6, 3)
+            orbit_catalog(6, 3)
     with monkeypatch.context() as m:
-        m.setattr("gwbinom.necklaces._flip_fixed_orbits", lambda n, j: [0b001011])
+        m.setattr("gwbinom.necklaces._flip_fixed_orbits", lambda n, j: [(0b001011, 1)])
         with pytest.raises(RuntimeError, match="the flip moves the listed orbit of 110100"):
-            classify_flip_fixed(6, 3)
+            enumerate_orbits(6, 3)
     monkeypatch.setattr("gwbinom.necklaces._necklaces",
                         lambda n, j: (pair for pair in walk(n, j) if pair != (0b000111, 6)))
     with pytest.raises(RuntimeError, match=r"walk of \(6, 3\) never met the listed orbit of 111000"):
-        classify_flip_fixed(6, 3)
+        orbit_catalog(6, 3)
 
 
 def test_even_count_keeps_no_per_mask_state():
@@ -1175,9 +1239,10 @@ def test_flip_fixed_counts_build_records_only_for_flip_fixed_orbits(monkeypatch)
             if n % 2 == 0:
                 assert asdict(classify_flip_fixed(n, j)) == want, (n, j)
 
-    # 20 of the 80 orbits of (12, 6) are flip-fixed; the counts and the
-    # catalog build no record and search only the doubled words of those 20,
-    # the orbits their mirror words list
+    # 20 of the 80 orbits of (12, 6) are flip-fixed; the counts build no
+    # record and search no word, and the catalog builds no record and
+    # searches only the doubled words of those 20, the orbits their mirror
+    # words list
     records = enumerate_orbits(12, 6)
     assert len(records) == 80 and sum(rec.flip_fixed for rec in records) == 20
     fixed = [rec.canonical.bitstring() * 2 for rec in records if rec.flip_fixed]
@@ -1199,10 +1264,12 @@ def test_flip_fixed_counts_build_records_only_for_flip_fixed_orbits(monkeypatch)
         finally:
             sys.setprofile(None)
 
-    for count in (classify_flip_fixed, odd_flip_fixed_count, orbit_catalog,
-                  lambda n, j: orbit_catalog(n, j, classify=True)):
+    for count in (classify_flip_fixed, odd_flip_fixed_count):
         profiled(lambda: count(12, 6))
-        assert built == [] and searched == fixed, count
+        assert built == [] and searched == [], count
+    for classify in (False, True):
+        profiled(lambda: orbit_catalog(12, 6, classify=classify))
+        assert built == [] and searched == fixed, classify
 
     # one orbit of any cell, flip-fixed or not: its record searches it
     for rec in (records[0], next(rec for rec in records if not rec.flip_fixed)):

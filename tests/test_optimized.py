@@ -52,9 +52,9 @@ except RuntimeError as exc:
 WRONG_PERIOD = """
 import gwbinom.necklaces as necklaces
 necklaces._necklaces = lambda n, j: iter([(0b1100, 2)])
-necklaces._flip_fixed_orbits = lambda n, j: [0b1100]
+necklaces._flip_fixed_orbits = lambda n, j: [(0b1100, 2)]
 try:
-    necklaces.classify_flip_fixed(4, 2)
+    necklaces.enumerate_orbits(4, 2)
 except RuntimeError as exc:
     print("raised", exc)
 """
@@ -71,15 +71,33 @@ def skipping(n, j):
     return (pair for pair in walk(n, j) if pair != (0b000111, 6))
 
 lister = necklaces._flip_fixed_orbits
-faults = (("_mirror_words", repeated, words), ("_flip_fixed_orbits", lambda n, j: [0b001011], lister),
+faults = (("_mirror_words", repeated, words), ("_flip_fixed_orbits", lambda n, j: [(0b001011, 1)], lister),
           ("_necklaces", skipping, walk))
 for name, fault, real in faults:
     setattr(necklaces, name, fault)
     try:
-        necklaces.classify_flip_fixed(6, 3)
+        necklaces.orbit_catalog(6, 3)
     except RuntimeError as exc:
         print("raised", exc)
     setattr(necklaces, name, real)
+"""
+
+WRONG_KIND = """
+import gwbinom.necklaces as necklaces
+words = necklaces._mirror_words
+
+def flipped(n, j):
+    listed = words(n, j)
+    eps, mask = next(listed)
+    yield 1 - eps, mask
+    yield from listed
+
+necklaces._mirror_words = flipped
+for count in (necklaces.classify_flip_fixed, necklaces.odd_flip_fixed_count, necklaces.orbit_catalog):
+    try:
+        count(4, 2)
+    except RuntimeError as exc:
+        print("raised", exc)
 """
 
 DROPPED_LYNDON_WORD = """
@@ -157,6 +175,15 @@ def test_mirror_word_and_walk_faults_raise_under_O():
         "raised the flip moves the listed orbit of 110100",
         "raised the walk of (6, 3) never met the listed orbit of 111000",
     ]
+
+
+def test_mirror_word_of_the_wrong_kind_raises_under_O():
+    # the first mirror word of (4, 2), 0101, read as fixed by f_1: its orbit,
+    # named 1010 and of period 2, still meets two words, but now one of f_1
+    proc = run_optimized("-c", WRONG_KIND)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised the orbit of 1010, of period 2, has 1 of its 2 mirror words fixed by f_1"] * 3
 
 
 def test_row_walk_rank_raises_under_O():
