@@ -1,10 +1,5 @@
-import gc
 import sys
 
-from .cli import main
+from .cli import run
 
-# A run is one short command, so the cyclic collector stays off; the start-up
-# objects are frozen first, so the collection at interpreter exit skips them.
-gc.freeze()
-gc.disable()
-sys.exit(main())
+sys.exit(run())

@@ -14,14 +14,15 @@ closes stdout early (as under SIGPIPE).  The base field never enters the
 numbers, so --q only checks that the field order is an odd prime power.
 Each subcommand imports the modules it calls in its own body, and csv is
 imported only for CSV output, so a run loads only what its command uses and
---help loads no command module.  ``python -m gwbinom`` freezes its start-up
-objects and turns the cyclic collector off before calling ``main``, as a
-run's objects live until it exits; ``main`` itself leaves the collector alone.
+--help loads no command module.  The console script, ``python -m gwbinom`` and
+``python -m gwbinom.cli`` all start in ``run``, the one start-up; ``main``
+itself leaves the cyclic collector alone, as tests and the benchmark call it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -317,13 +318,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-_COMMANDS = {
-    "coeff": _cmd_coeff,
-    "triangle": _cmd_triangle,
-    "twisted": _cmd_twisted,
-    "necklaces": _cmd_necklaces,
-    "verify": _cmd_verify,
-}
+_COMMANDS = {"coeff": _cmd_coeff, "triangle": _cmd_triangle, "twisted": _cmd_twisted,
+             "necklaces": _cmd_necklaces, "verify": _cmd_verify}
 
 
 def main(argv=None) -> int:
@@ -353,5 +349,13 @@ def main(argv=None) -> int:
         return 141
 
 
+def run() -> int:
+    """Freeze the start-up objects and turn the cyclic collector off, as a run's
+    objects live until it exits and the exit collection skips frozen ones."""
+    gc.freeze()
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

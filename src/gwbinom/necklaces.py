@@ -317,15 +317,15 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
     """Distance between two axis classes in bead units (half-integers allowed).
 
     Rotating by s beads moves the axis of r^m f to the axis of r^(m+2s) f,
-    so the achievable separations are (b.m - a.m + 2*period*t) mod n; the
-    distance is the smallest folded value, halved.  Exact arithmetic in
-    doubled units throughout.
+    so the separations are the residues mod n of d = (b.m - a.m) mod g plus
+    multiples of g = gcd(2*period, n), which divides n: the distance is
+    min(d, g - d), halved, exact in doubled units.
     """
     from fractions import Fraction
 
-    n = rec.size
-    separations = ((b.m - a.m + 2 * rec.period * t) % n for t in range(n))
-    return Fraction(min(min(d, n - d) for d in separations), 2)
+    g = gcd(2 * rec.period, rec.size)
+    d = (b.m - a.m) % g
+    return Fraction(min(d, g - d), 2)
 
 
 def _lyndon_counts(n: int) -> list[list[int]]:

@@ -7,6 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import script_entry
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -530,16 +531,20 @@ def test_cli_import_leaves_out_the_process_pool():
     assert proc.stdout.strip() == "False"
 
 
-# Runs `python -m gwbinom` with the given arguments, then reports on stderr
-# whether the cyclic collector was off with the start-up objects frozen, and
-# which modules were loaded.
+# Runs one entry with the given arguments: a module as `python -m` runs it, or
+# a "module:function" as the console script calls it.  Then reports on a last
+# stderr line whether the cyclic collector was off with the start-up objects
+# frozen, and which modules were loaded, and exits with the entry's code.
 _MODULES_LOADED = """
-import gc, runpy, sys
+import gc, importlib, runpy, sys
+entry = sys.argv.pop(1)
 try:
-    runpy.run_module("gwbinom", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass
-print(not gc.isenabled() and gc.get_freeze_count() > 0, *sorted(sys.modules), file=sys.stderr)
+    if ":" in entry:
+        module, function = entry.split(":")
+        sys.exit(getattr(importlib.import_module(module), function)())
+    runpy.run_module(entry, run_name="__main__", alter_sys=True)
+finally:
+    print(not gc.isenabled() and gc.get_freeze_count() > 0, *sorted(sys.modules), file=sys.stderr)
 """
 _WATCHED = {"gwbinom.coefficients", "gwbinom.gw", "gwbinom.necklaces", "fractions", "csv"}
 _CELLS = {"gwbinom.coefficients", "gwbinom.gw"}
@@ -567,11 +572,32 @@ _COMMAND_MODULES = [
 def test_each_command_loads_only_its_modules(argv, loaded):
     # a module a command does not call costs its import on every run
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, "gwbinom", *argv],
                           capture_output=True, text=True, env=env)
     collector_off, *modules = proc.stderr.splitlines()[-1].split()
     assert proc.returncode == 0 and collector_off == "True", proc.stderr
     assert _WATCHED.intersection(modules) == loaded
+
+
+_ENTRY_COMMANDS = [["coeff", "--n", "8", "--j", "3"],
+                   ["necklaces", "--n", "8", "--j", "4", "--classify", "--format", "json"]]
+
+
+@pytest.mark.parametrize("argv", _ENTRY_COMMANDS, ids=" ".join)
+def test_every_entry_runs_the_one_start_up(argv):
+    # the console script, python -m gwbinom and python -m gwbinom.cli each
+    # start in cli.run, so they print the same bytes with the collector off
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    runs = []
+    for entry in (script_entry(), "gwbinom", "gwbinom.cli"):
+        proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, entry, *argv],
+                              capture_output=True, env=env)
+        *err, probe = proc.stderr.splitlines(keepends=True)
+        collector_off, *modules = probe.decode().split()
+        assert collector_off == "True", (entry, proc.stderr)
+        runs.append((proc.returncode, proc.stdout, b"".join(err), _WATCHED.intersection(modules)))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1:] == runs[:1] * 2
 
 
 def test_main_leaves_the_collector_alone(capsys):

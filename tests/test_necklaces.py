@@ -651,6 +651,22 @@ def test_axis_count_and_distance_laws():
                     assert d == Fraction(rec.period, 2)
 
 
+def test_axis_distance_formula_matches_the_separation_scan():
+    # the gcd formula against the least folded separation over all n shifts,
+    # for every orbit and every pair of reflection exponents with n <= 12
+    for n in range(1, 13):
+        scans = {}  # period -> doubled distance by (b - a) mod n
+        for j in range(n + 1):
+            for rec in enumerate_orbits(n, j):
+                p = rec.period
+                scan = scans.get(p) or scans.setdefault(p, [
+                    min(min(d, n - d) for d in ((s + 2 * p * t) % n for t in range(n)))
+                    for s in range(n)])
+                for a, b in itertools.product(range(n), repeat=2):
+                    assert axis_distance(rec, AxisIndex(a, 0), AxisIndex(b, 0)) \
+                        == Fraction(scan[(b - a) % n], 2)
+
+
 def test_odd_n_axes_are_type2():
     for n in (3, 5, 7, 9):
         for j in range(n + 1):

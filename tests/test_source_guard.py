@@ -1,12 +1,15 @@
 """The package reads no environment knob, keeps no unbounded memo or
 visited-point set, lays out beads as mask bits and states its integer,
 cell, balance and parity rules in one module each, re-exports nothing,
-defines no top-level name in two modules, and defines no name that
-nothing else names."""
+defines no top-level name in two modules, defines no name that nothing
+else names, and has one start-up that every entry calls."""
 
 import ast
 import re
+import sys
 from pathlib import Path
+
+from conftest import script_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gwbinom"
@@ -73,14 +76,20 @@ def test_cell_balance_and_parity_rules_stay_in_arith():
     assert hits == [True, True, True, True, True, False, False]
 
 
+def _with_function(node, func=None):
+    """Each node of the tree, with the name of the function enclosing it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    yield node, func
+    for child in ast.iter_child_nodes(node):
+        yield from _with_function(child, func)
+
+
 def _stdout_writes(tree):
     """(enclosing function, line) of each print( not given file=sys.stderr,
     and of each sys.stdout.write or sys.stdout.writelines."""
     hits = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    for node, func in _with_function(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "print" \
                 and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
@@ -89,10 +98,6 @@ def _stdout_writes(tree):
         if isinstance(node, ast.Attribute) and node.attr in ("write", "writelines") \
                 and ast.unparse(node.value) == "sys.stdout":
             hits.append((func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
     return hits
 
 
@@ -160,3 +165,38 @@ def test_every_defined_name_is_used():
                        if (p, i) != (path, node.lineno)):
                 dead.append(f"{path.name}:{node.lineno}: {node.name}")
     assert dead == []
+
+
+def _main_blocks(tree):
+    """The body, as source, of each top-level `if __name__ == "__main__":`."""
+    return ["\n".join(map(ast.unparse, node.body)) for node in tree.body
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) in ("__name__ == '__main__'", "'__main__' == __name__")]
+
+
+def test_every_entry_calls_the_one_start_up():
+    # the console script, python -m gwbinom and python -m gwbinom.cli start
+    # in one function, the only code that freezes or turns off the collector,
+    # so no entry skips it and none adds to it
+    module, function = script_entry().split(":")
+    assert module == "gwbinom.cli"
+    calls = [(path.name, func, ast.unparse(node.func))
+             for path in sorted(SRC.glob("*.py"))
+             for node, func in _with_function(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("gc.freeze", "gc.disable")]
+    assert calls == [("cli.py", function, "gc.freeze"), ("cli.py", function, "gc.disable")]
+    assert _hits(re.compile(r"\bfrom gc import|\bimport gc as\b")) == []
+    blocks = {path.name: _main_blocks(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {name: body for name, body in blocks.items() if body} == {"cli.py": [f"sys.exit({function}())"]}
+    assert [ast.unparse(node) for node in ast.parse((SRC / "__main__.py").read_text()).body] \
+        == ["import sys", f"from .cli import {function}", f"sys.exit({function}())"]
+    assert _main_blocks(ast.parse("if __name__ == '__main__':\n    f()\n    g()\n"
+                                  "if x:\n    h()\ndef k():\n    if __name__ == '__main__':\n        k()\n")) \
+        == ["f()\ng()"]
+
+
+def test_script_entry_reads_the_same_without_tomllib(monkeypatch):
+    # Python 3.10 has no tomllib, so the entry is read from its line instead
+    entry = script_entry()
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    assert script_entry() == entry
