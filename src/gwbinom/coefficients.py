@@ -365,6 +365,7 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     min(jobs, CPU count, item count) processes (none when that is 1, as when
     2 * twisted_max_j <= max_n), and the report keeps the cell order:
     untwisted by (n, j), then twisted by j."""
+    import fractions  # the binomial route's, loaded before any cell's clock starts
     from .necklaces import check_enumeration
 
     _require_int(max_n, twisted_max_j, jobs)

@@ -20,11 +20,11 @@ of a cell that the flip preserves from their mirror words, those fixed by
 p -> -p or p -> 1 - p, with the kind, how many the latter fixes, that gives
 their symmetry axes' types (type 1 passes between beads, type 2 through at
 least one bead) and every flip-fixed count (_flip_fixed_orbits), reads the
-axes it prints off one search of the reversed word in the doubled word
-(_axes), splits an even-length orbit into its two interleaved half-length
-orbits, strips or inserts the pair of beads sitting on a through-beads
-axis, and enumerates the twisted orbits in which one group step rotates a
-single bead and then swaps the two colors.
+axes it prints off one search of a listed orbit's reversed word in its
+doubled word (_axes), checked against its kind, splits an even-length orbit
+into its two interleaved half-length orbits, strips or inserts the pair of
+beads on a through-beads axis, and enumerates the twisted orbits in which
+one group step rotates a single bead and then swaps the two colors.
 
 Orbits come from one enumerator, _necklaces, the FKM necklace generator
 with O(n) state.  It walks a cell's gap sequences, the runs of red beads
@@ -284,24 +284,26 @@ def _flip_fixed_orbits(n: int, j: int) -> list[tuple[int, int]]:
     return listed
 
 
-def _orbits(n: int, j: int):
-    """Yield (least, word, period, axes, kind) for each rotation orbit of the
-    (n, j) cell, ascending, with no OrbitRecord: the gap walk, _necklaces,
-    merged with _flip_fixed_orbits, whose orbits alone are searched by _axes
-    (252 of the 32,066 at (22, 11)) and have a kind; elsewhere axes is () and
-    kind None.  A listed orbit the search misses or the walk never meets raises."""
-    listed = iter(_flip_fixed_orbits(n, j))
+def _orbits(n: int, j: int, listed: list[tuple[int, int]]):
+    """Yield (least, period, axes) for each rotation orbit of the (n, j) cell,
+    ascending: the gap walk, _necklaces, merged with listed, the cell's
+    _flip_fixed_orbits, whose orbits alone get a word and an _axes search
+    (252 of the 32,066 at (22, 11)); elsewhere axes is ().  A listed orbit the
+    search misses, whose axis types are not its kind's, or never met raises."""
+    listed = iter(listed)
     want, kind = next(listed, (None, None))
     for least, period in _necklaces(n, j):
-        word = _word(least, n)
-        if least != want:
-            yield least, word, period, (), None
-            continue
-        axes = _axes(word, period)
-        if not axes:
-            raise RuntimeError(f"the flip moves the listed orbit of {word}")
-        yield least, word, period, axes, kind
-        want, kind = next(listed, (None, None))
+        axes = ()
+        if least == want:
+            word = _word(least, n)
+            axes = _axes(word, period)
+            if not axes:
+                raise RuntimeError(f"the flip moves the listed orbit of {word}")
+            types = sorted({a.axis_type for a in axes})
+            if kind != (1 if n % 2 else (TYPE1 in types) + (TYPE2 not in types)):
+                raise RuntimeError(f"the orbit of {word}, of kind {kind}, has axis types {types}")
+            want, kind = next(listed, (None, None))
+        yield least, period, axes
     if want is not None:
         raise RuntimeError(f"the walk of ({n}, {j}) never met the listed orbit of {_word(want, n)}")
 
@@ -430,10 +432,10 @@ def _necklaces(n: int, j: int):
 
 def enumerate_orbits(n: int, j: int) -> tuple[OrbitRecord, ...]:
     """All rotation orbits of necklaces with j blues among n beads,
-    sorted by canonical bitmask; _orbits searches only the flip-fixed ones."""
+    sorted by canonical bitmask; _orbits searches only the listed flip-fixed ones."""
     check_enumeration(n, j)
     return tuple(OrbitRecord(Necklace(n, least), period, axes)
-                 for least, _, period, axes, _ in _orbits(n, j))
+                 for least, period, axes in _orbits(n, j, _flip_fixed_orbits(n, j)))
 
 
 def _periods(n: int, j: int) -> Counter:
@@ -537,12 +539,12 @@ def classify_flip_fixed(n: int, j: int) -> FlipFixedCounts:
     listing, _flip_fixed_orbits, which checks that; no walk or search."""
     check_enumeration(n, j)
     _require_even(n, "n")
-    return _kind_counts(kind for _, kind in _flip_fixed_orbits(n, j))
+    return _kind_counts(_flip_fixed_orbits(n, j))
 
 
-def _kind_counts(kinds) -> FlipFixedCounts:
-    """classify_flip_fixed's counts from an even-n cell's flip-fixed kinds."""
-    tally = Counter(kinds)
+def _kind_counts(listed) -> FlipFixedCounts:
+    """classify_flip_fixed's counts from an even-n cell's _flip_fixed_orbits."""
+    tally = Counter(map(itemgetter(1), listed))
     return FlipFixedCounts(tally[2], tally[0], tally[1])
 
 
@@ -752,21 +754,19 @@ def orbit_catalog(n: int, j: int, classify: bool = False) -> dict:
     """JSON-ready catalog of the rotation orbits of (n, j) necklaces, with
     classify_flip_fixed's counts under "classification" when classify.
 
-    Each orbit's dict is built from the word, period and axes that _orbits
-    yields, with no OrbitRecord; only the flip-fixed orbits, 252 of the
-    32,066 at (22, 11), are searched, and the kinds _orbits yields for them,
-    from its one mirror listing, give the classification.  With classify,
-    an odd n is refused before any enumeration or listing."""
+    Each orbit's dict is built from the least mask, period and axes that
+    _orbits yields, with no OrbitRecord; only the flip-fixed orbits, 252 of
+    the 32,066 at (22, 11), are searched, and the cell's one mirror listing,
+    which _orbits merges, gives the classification by _kind_counts.  With
+    classify, an odd n is refused before any enumeration or listing."""
     check_enumeration(n, j)
     if classify:
         _require_even(n, "n")
-    orbits, kinds = [], []
-    for _, word, period, axes, kind in _orbits(n, j):
-        if axes:
-            kinds.append(kind)
-        listed = [{"m": a.m, "type": a.axis_type} for a in axes] if axes else []
-        orbits.append({"canonical": word, "period": period, "flip_fixed": bool(axes), "axes": listed})
+    listed = _flip_fixed_orbits(n, j)
+    orbits = [{"canonical": _word(least, n), "period": period, "flip_fixed": bool(axes),
+               "axes": [{"m": a.m, "type": a.axis_type} for a in axes] if axes else []}
+              for least, period, axes in _orbits(n, j, listed)]
     out = {"n": n, "j": j, "orbits": orbits}
     if classify:
-        out["classification"] = asdict(_kind_counts(kinds))
+        out["classification"] = asdict(_kind_counts(listed))
     return out

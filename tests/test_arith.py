@@ -193,6 +193,25 @@ def test_argument_rules_raise_value_error(fn, args, message):
         fn(*args)
 
 
+@pytest.mark.parametrize("fn, args, error, message", [
+    (Necklace, (0, 0), ValueError, "size must be in [1, 63], got 0"),
+    (Necklace, (64, 0), ValueError, "size must be in [1, 63], got 64"),
+    (Necklace, (3, 8), ValueError, "blues mask 0x8 out of range for size 3"),
+    (Necklace.from_positions, (4, [4]), ValueError, "position 4 out of range for size 4"),
+    (strip_axis_beads, (orbit_record_of(Necklace(2, 0)), AxisIndex(0, TYPE2)), ValueError,
+     "need at least 4 beads, got 2"),
+    (EnrichedCoefficient, (4, 1, False, gw_from_coeffs(4, 0), "guess"), ValueError,
+     "method must be 'closed' or 'oracle', got 'guess'"),
+    (big_binomial, (True, 1), TypeError, "bool is not a valid arithmetic argument"),
+    (valuation, (1, 4), ValueError, "prime required, got 1"),
+], ids=lambda v: v.__name__ if callable(v) else v if isinstance(v, str) else None)
+def test_range_and_type_checks_raise(fn, args, error, message):
+    # the bounds of a necklace, a position, a strip, a provenance tag, a
+    # bool to the binomial and a prime, each with its message
+    with pytest.raises(error, match=re.escape(message)):
+        fn(*args)
+
+
 def test_valuation():
     assert valuation(2, 70) == 1
     assert valuation(2, 1) == 0

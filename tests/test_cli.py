@@ -601,8 +601,8 @@ def test_every_entry_runs_the_one_start_up(argv):
 
 
 def test_main_leaves_the_collector_alone(capsys):
-    # only `python -m gwbinom` freezes and turns off the collector; main runs in
-    # tests, demos and the benchmark's traced passes too
+    # every entry runs cli.run, which freezes and turns off the collector; main
+    # leaves it alone, as it runs in tests, demos and the benchmark's traced passes too
     import gc
 
     before = gc.isenabled(), gc.get_freeze_count()

@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +413,31 @@ def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
     # a twisted cell past the walk takes one gap walk of its own
     assert verify(6, 4).ok
     assert calls == [("rows", 6), (8, 4)]
+
+
+FIRST_CELL = """
+import sys
+import gwbinom.coefficients as coefficients
+check, loaded = coefficients._cell_check, []
+
+def first(*args):
+    loaded.append("fractions" in sys.modules)
+    return check(*args)
+
+coefficients._cell_check = first
+coefficients.verify(4, 2)
+print(loaded[0])
+"""
+
+
+def test_no_cell_clock_holds_the_fractions_import():
+    # the binomial route's fractions import takes about 4 ms in a fresh
+    # interpreter, more than the largest cell of a 20-row walk; verify loads
+    # it before the first cell's clock starts
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", FIRST_CELL], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 def test_verify_parallel_matches_serial():

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import re
 
 import pytest
 from hypothesis import given
@@ -145,6 +147,14 @@ def test_json_rendering():
         "display": "55+u",
     }
     assert gw_to_json(GWElem(6, SQUARE)) == {"rank": 6, "disc": "square", "display": "6"}
+
+
+@pytest.mark.parametrize("op, symbol", [(operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")])
+def test_ops_with_a_non_class_raise_type_error(op, symbol):
+    # each operator returns NotImplemented for a non-GWElem, so Python raises
+    with pytest.raises(TypeError, match=re.escape(
+            f"unsupported operand type(s) for {symbol}: 'GWElem' and 'int'")):
+        op(GWElem(1, SQUARE), 1)
 
 
 def test_invalid_disc_rejected():

@@ -557,6 +557,37 @@ def test_mirror_word_of_the_wrong_kind_raises(monkeypatch):
             count(4, 2)
 
 
+def _swapped_first_kind(n, j):
+    """The cell's listing with its first orbit's kinds 0 and 2 swapped: the
+    kind stays even, so the lister's own parity check still holds."""
+    (least, kind), *rest = _flip_fixed_orbits(n, j)
+    return [(least, 2 - kind), *rest]
+
+
+def test_listed_kind_that_disagrees_with_the_axes_raises(monkeypatch):
+    # 1100, the first listed orbit of (4, 2), has only between-beads (type 1)
+    # axes, so kind 2; listed as kind 0, only through-beads axes would do
+    monkeypatch.setattr("gwbinom.necklaces._flip_fixed_orbits", _swapped_first_kind)
+    for walk in (enumerate_orbits, orbit_catalog):
+        with pytest.raises(RuntimeError, match=r"the orbit of 1100, of kind 0, has axis types \[1\]"):
+            walk(4, 2)
+
+
+def test_records_build_words_only_for_listed_orbits(monkeypatch):
+    # 20 of the 80 orbits of (12, 6) are listed: the records build only
+    # their words, for the axis search; the catalog also prints all 80
+    import gwbinom.necklaces as necklaces
+
+    words, word = [], necklaces._word
+    monkeypatch.setattr(necklaces, "_word", lambda mask, n: words.append(mask) or word(mask, n))
+    records = enumerate_orbits(12, 6)
+    assert len(records) == 80
+    assert words == [rec.canonical.blues for rec in records if rec.flip_fixed]
+    words.clear()
+    orbit_catalog(12, 6)
+    assert len(words) == 100
+
+
 def test_catalog_lists_the_mirror_words_once(monkeypatch):
     calls = []
     words = _mirror_words

@@ -100,6 +100,22 @@ for count in (necklaces.classify_flip_fixed, necklaces.odd_flip_fixed_count, nec
         print("raised", exc)
 """
 
+SWAPPED_KIND = """
+import gwbinom.necklaces as necklaces
+lister = necklaces._flip_fixed_orbits
+
+def swapped(n, j):
+    (least, kind), *rest = lister(n, j)
+    return [(least, 2 - kind), *rest]
+
+necklaces._flip_fixed_orbits = swapped
+for walk in (necklaces.enumerate_orbits, necklaces.orbit_catalog):
+    try:
+        walk(4, 2)
+    except RuntimeError as exc:
+        print("raised", exc)
+"""
+
 DROPPED_LYNDON_WORD = """
 import gwbinom.necklaces as necklaces
 lyndon = necklaces._lyndon_counts
@@ -184,6 +200,14 @@ def test_mirror_word_of_the_wrong_kind_raises_under_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "raised the orbit of 1010, of period 2, has 1 of its 2 mirror words fixed by f_1"] * 3
+
+
+def test_listed_kind_that_disagrees_with_the_axes_raises_under_O():
+    # 1100, the first listed orbit of (4, 2), has only type-1 axes, so kind
+    # 2; listed as kind 0, it still passes the lister's parity check
+    proc = run_optimized("-c", SWAPPED_KIND)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised the orbit of 1100, of kind 0, has axis types [1]"] * 2
 
 
 def test_row_walk_rank_raises_under_O():

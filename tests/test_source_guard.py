@@ -2,7 +2,8 @@
 visited-point set, lays out beads as mask bits and states its integer,
 cell, balance and parity rules in one module each, re-exports nothing,
 defines no top-level name in two modules, defines no name that nothing
-else names, and has one start-up that every entry calls."""
+else names, has one start-up that every entry calls, and has no check
+that python -O strips or turns off."""
 
 import ast
 import re
@@ -112,6 +113,27 @@ def test_only_emit_writes_stdout():
     assert _stdout_writes(ast.parse("def f():\n    print(1, file=sys.stdout)\n"
                                     "sys.stdout.write('x')\nprint(2, file=sys.stderr)\n")) \
         == [("f", 2), (None, 3)]
+
+
+def _debug_only(tree):
+    """Lines of each assert statement, __debug__ and sys.flags: python -O
+    strips the first and changes what the other two read."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "__debug__"
+                  or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.flags"
+                  or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                  and any(alias.name == "flags" for alias in node.names))
+
+
+def test_no_check_depends_on_the_optimize_flag():
+    # every invariant check still runs under python -O
+    stray = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in _debug_only(ast.parse(path.read_text()))]
+    assert stray == []
+    assert _debug_only(ast.parse("assert x\nif __debug__:\n    y = sys.flags.optimize\n"
+                                 "from sys import flags\nz = x.flags\n")) == [1, 2, 3, 4]
 
 
 def test_package_init_is_only_its_docstring():
