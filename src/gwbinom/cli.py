@@ -31,7 +31,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 from operator import not_
 
-from .arith import _smallest_factor, valuation
+from .arith import _smallest_factor
 
 FORMATS = ("text", "json", "csv")
 MAX_Q = 10**10  # --q is checked by trial division: sqrt(MAX_Q) steps, about 0.04 s
@@ -178,7 +178,8 @@ def _emit(fmt: str, obj, header, rows, lines) -> None:
 
 def _check_printable(n: int, j: int) -> None:
     """Refuse, before any output, a rank C(n, j) with more digits than Python
-    will print.  A cell with j outside 0..n passes, for the calculation to reject."""
+    will print: at least 640, so no triangle within MAX_ROWS, whose ranks have at
+    most 300, needs it.  A cell with j outside 0..n passes, for the calculation to reject."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (no limit) before 3.10.7
     k = min(j, n - j)
     bound = 10**limit
@@ -237,7 +238,6 @@ def _cmd_triangle(args) -> int:
     from .coefficients import _triangle_json, triangle_rows
     from .gw import gw_display
 
-    _check_printable(args.rows - 1, (args.rows - 1) // 2)
     rows = triangle_rows(args.rows)
     _emit(args.format, lambda: _triangle_json(rows), ["row", "j", "rank", "disc", "display"],
           ([n, j, v.rank, v.disc_name, gw_display(v)]
@@ -334,7 +334,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--q must be odd, got {q}")
         if q is not None and q > MAX_Q:
             raise ValueError(f"--q must be at most {MAX_Q} (MAX_Q), got {q}")
-        if q is not None and (q < 3 or (p := _smallest_factor(q)) ** valuation(p, q) != q):
+        # q <= MAX_Q is a power of its least prime factor p iff q divides p^MAX_Q.bit_length()
+        if q is not None and (q < 3 or pow(_smallest_factor(q), MAX_Q.bit_length(), q)):
             raise ValueError(f"--q must be an odd prime power of at least 3, got {q}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:

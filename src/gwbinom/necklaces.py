@@ -2,14 +2,13 @@
 
 A necklace is a length-n circular word over {blue, red} with bead 0 at the
 top; positions run counterclockwise.  Bead sets are stored as bitmasks
-(bit p set = bead p blue), so rotation is a word rotate and the encoding
-caps n at the word width of 63 beads.  Only the mask primitives (the
-rotations, the orbit steps and the necklace walks) and the word form,
-_word (behind Necklace.bitstring) and its inverse _from_word, rely on
-that layout; every other relabelling of beads (each reflection r^m f, by
-_reflect, the interleave halves, cutting out or splicing in axis beads,
-and the run lengths in the partitions module) is a slice or splice of the
-word.  On top of the three generators
+(bit p set = bead p blue), so rotation is a word rotate.  Only the mask
+primitives (the rotations, the orbit steps and the necklace walks) and
+the word form, _word (behind Necklace.bitstring) and its inverse
+_from_word, rely on that layout; every other relabelling of beads (each
+reflection r^m f, by _reflect, the interleave halves, cutting out or
+splicing in axis beads, and the run lengths in the partitions module) is
+a slice or splice of the word.  On top of the three generators
 
   * rotate(l, k)     -- positions shift by k mod n,
   * flip(l)          -- reflection through the top bead, p -> (n - p) mod n,
@@ -44,9 +43,10 @@ length, which _odd_twisted_count lists from their half-words v.  No
 enumeration keeps a set of the points it has met.
 
 Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration,
-every enumerator's one gate, refuses a non-cell, n beyond the 63-bit encoding
-and any cell with more than MAX_MASKS masks before any work starts, and a
-walk to n must fit row n's largest cell, (n, n // 2).  Nothing is memoised.
+every enumerator's one gate, refuses a non-cell, n beyond WORD_BITS = 63 beads
+(the mirror listing's memory grows as n^2 even where C(n, j) is small) and any
+cell with more than MAX_MASKS masks before any work starts, and a walk to n
+must fit row n's largest cell, (n, n // 2).  Nothing is memoised.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ from operator import itemgetter, lt
 from .arith import (_require_balanced, _require_cell, _require_even, _require_int,
                     _require_positive, mobius)
 
+# Python ints hold masks of any width; this cap bounds the mirror listing, whose n/2
+# pair masks of up to n bits grow as n^2 bits: _mirror_words(n, 1) peaks at 9.9 MiB for
+# n = 10,000 and 38.8 MiB for 20,000 (tracemalloc, Python 3.11.7), though (n, 1) has n masks.
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
 # Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
@@ -122,9 +125,6 @@ class Necklace:
     @property
     def j(self) -> int:
         return self.blues.bit_count()
-
-    def blue_positions(self) -> tuple[int, ...]:
-        return tuple(p for p, c in enumerate(self.bitstring()) if c == "1")
 
     def bitstring(self) -> str:
         """Position 0 leftmost, '1' for blue."""

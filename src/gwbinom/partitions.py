@@ -51,18 +51,6 @@ class MarkedCyclicPartition:
         _require_positive(len(runs) // 2, "block count")
         object.__setattr__(self, "runs", min(_cycle(runs, _next_block)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.runs)
-
-    @property
-    def marked_total(self) -> int:
-        return sum(self.runs[0::2])
-
-    @property
-    def unmarked_total(self) -> int:
-        return sum(self.runs[1::2])
-
     def render(self) -> str:
         """Text form with a trailing apostrophe on marked entries, e.g. "(6' 4)"."""
         parts = [f"{r}'" if i % 2 == 0 else str(r) for i, r in enumerate(self.runs)]

@@ -336,7 +336,14 @@ def test_necklaces_limit_breach(capsys, monkeypatch):
     assert code == 2 and "enumeration budget" in err
 
 
-def test_necklaces_limit_at_hard_cap_names_only_the_hard_limit(capsys):
+def test_necklaces_limit_at_hard_cap_names_only_the_hard_limit(capsys, monkeypatch):
+    # (64, 1) has only 64 masks: the bead cap alone refuses it, before the
+    # mirror listing builds its n^2 bits of pair masks
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("gwbinom.necklaces._necklaces", no_enumeration)
+    monkeypatch.setattr("gwbinom.necklaces._flip_fixed_orbits", no_enumeration)
     code, _, err = run(capsys, "necklaces", "--n", "64", "--j", "1")
     assert code == 2
     assert "hard limit of 63 beads" in err
@@ -358,7 +365,6 @@ def test_twisted_oracle_over_budget_fails_before_enumerating(capsys, monkeypatch
     ("coeff", "--n", "20000", "--j", "10000"),
     ("coeff", "--twisted", "--j", "8000"),
     ("twisted", "--max-j", "8000"),
-    ("triangle", "--rows", "15000"),
     # C(n, k) >= 2^k refuses this one without computing the binomial
     ("coeff", "--n", "100000000", "--j", "50000000"),
 ])
@@ -370,9 +376,12 @@ def test_value_too_long_to_print_fails_before_output(capsys, argv, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_triangle_rows_beyond_budget_fail_before_output(capsys, fmt):
-    code, out, err = run(capsys, "triangle", "--rows", "1001", "--format", fmt)
-    assert code == 2 and out == ""
-    assert "budget of 1000 (MAX_ROWS)" in err
+    # C(999, 499) has 300 digits, so no triangle within MAX_ROWS meets the
+    # int-string limit; 14293 rows is the first it would refuse by digits
+    for rows in ("1001", "14293", "15000", "20000"):
+        code, out, err = run(capsys, "triangle", "--rows", rows, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: {rows} rows exceed the triangle budget of 1000 (MAX_ROWS)\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -490,6 +499,26 @@ def test_q_flag(capsys):
     assert code == 2 and out == "" and "at most 10000000000 (MAX_Q)" in err
     code, out, _ = run(capsys, "--q", "9999999967", "triangle", "--rows", "2")
     assert code == 0
+
+
+def test_q_flag_factors_a_prime_once(capsys, monkeypatch):
+    # the power check reuses the least prime factor instead of proving it
+    # prime again by a second trial division
+    import gwbinom.arith as arith
+    import gwbinom.cli as cli
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return factor(m)
+
+    factor = arith._smallest_factor
+    monkeypatch.setattr(arith, "_smallest_factor", counted)
+    monkeypatch.setattr(cli, "_smallest_factor", counted)
+    code, out, _ = run(capsys, "--q", "9999999967", "triangle", "--rows", "2")
+    assert code == 0 and out
+    assert calls == [9999999967]
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -111,6 +111,14 @@ def test_half_central_hyperbolic_identity():
     assert twisted_closed(1).value == twisted_oracle(1).value
 
 
+def test_half_central_hyperbolic_refuses_an_odd_central_binomial(monkeypatch):
+    # C(2j, j) = 2 C(2j - 1, j - 1) is even for j >= 1; an odd one has no half
+    monkeypatch.setattr("gwbinom.coefficients.comb", lambda n, k: 7)
+    with pytest.raises(RuntimeError) as info:
+        half_central_hyperbolic(2)
+    assert str(info.value) == "central binomial C(4,2) should be even"
+
+
 def test_triangle_shape_and_rows():
     table = triangle_rows(3)
     assert [gw_display(v) for v in table[2]] == ["1", "1+u", "1"]

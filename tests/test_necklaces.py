@@ -148,21 +148,22 @@ def _ref_swap(n, blues):
 
 @given(necklaces(max_size=63), st.integers(-30, 30))
 def test_bitmask_ops_match_position_set_reference(l, k):
-    blues = frozenset(p for p in range(l.size) if l.blues >> p & 1)
-    assert frozenset(l.blue_positions()) == blues
-    assert [c == "1" for c in l.bitstring()] == [p in blues for p in range(l.size)]
-    assert frozenset(rotate(l, k).blue_positions()) == _ref_rotate(l.size, blues, k)
-    assert frozenset(flip(l).blue_positions()) == _ref_flip(l.size, blues)
-    assert frozenset(color_swap(l).blue_positions()) == _ref_swap(l.size, blues)
-    if l.size % 2 == 0:
-        even_half, odd_half = interleave_parts(l)
-        assert frozenset(even_half.blue_positions()) == {p // 2 for p in blues if p % 2 == 0}
-        assert frozenset(odd_half.blue_positions()) == {p // 2 for p in blues if p % 2}
+    n = l.size
+    blues = frozenset(p for p in range(n) if l.blues >> p & 1)
+    assert l == Necklace.from_positions(n, blues)
+    assert [c == "1" for c in l.bitstring()] == [p in blues for p in range(n)]
+    assert rotate(l, k) == Necklace.from_positions(n, _ref_rotate(n, blues, k))
+    assert flip(l) == Necklace.from_positions(n, _ref_flip(n, blues))
+    assert color_swap(l) == Necklace.from_positions(n, _ref_swap(n, blues))
+    if n % 2 == 0:
+        assert interleave_parts(l) == (
+            Necklace.from_positions(n // 2, {p // 2 for p in blues if p % 2 == 0}),
+            Necklace.from_positions(n // 2, {p // 2 for p in blues if p % 2}))
 
 
 @given(necklaces())
 def test_canonical_form_matches_position_set_reference(l):
-    blues = frozenset(l.blue_positions())
+    blues = frozenset(p for p in range(l.size) if l.blues >> p & 1)
     rotations = {tuple(sorted(_ref_rotate(l.size, blues, k))) for k in range(l.size)}
     rec = orbit_record_of(l)
     assert rec.period == len(rotations)
@@ -877,6 +878,16 @@ def test_strip_axis_beads_validation():
     odd_j = orbit_record_of(neck(8, 0))
     with pytest.raises(ValueError):
         strip_axis_beads(odd_j, AxisIndex(0, TYPE2))
+
+
+def test_strip_axis_beads_refuses_on_axis_beads_of_two_colors(monkeypatch):
+    # with n and j even the two on-axis beads share a color; a rotation that
+    # put a blue and a red on the axis would splice in the wrong blue count
+    rec = orbit_record_of(neck(4, 0, 2))
+    monkeypatch.setattr("gwbinom.necklaces.rotate", lambda l, k: neck(4, 0))
+    with pytest.raises(RuntimeError) as info:
+        strip_axis_beads(rec, AxisIndex(0, TYPE2))
+    assert str(info.value) == "on-axis beads differ in color; invariant violation"
 
 
 def test_insert_axis_beads_all_red():

@@ -132,6 +132,20 @@ except RuntimeError as exc:
     print("raised", exc)
 """
 
+BROKEN_COLLABORATORS = """
+import gwbinom.coefficients as coefficients
+import gwbinom.necklaces as necklaces
+rec = necklaces.orbit_record_of(necklaces.Necklace(4, 0b0101))
+necklaces.rotate = lambda l, k: necklaces.Necklace(4, 0b0001)
+coefficients.comb = lambda n, k: 7
+for call in (lambda: necklaces.strip_axis_beads(rec, necklaces.AxisIndex(0, necklaces.TYPE2)),
+             lambda: coefficients.half_central_hyperbolic(2)):
+    try:
+        call()
+    except RuntimeError as exc:
+        print("raised", exc)
+"""
+
 RULES = """
 from gwbinom.coefficients import untwisted_closed
 from gwbinom.necklaces import Necklace, interleave_parts
@@ -223,6 +237,17 @@ def test_wrong_binomial_route_fails_verify_under_O():
     assert flags.split() == ["False", "False", "False"]
     # the line names the failing route without relying on assert
     assert divergence.startswith("DIVERGENCE at untwisted (n=0, j=0): closed=1 binomial=u oracle=1 ")
+
+
+def test_axis_bead_and_central_binomial_checks_raise_under_O():
+    # a rotation that puts a blue and a red bead on the axis of 1010, and
+    # an odd C(4, 2)
+    proc = run_optimized("-c", BROKEN_COLLABORATORS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised on-axis beads differ in color; invariant violation",
+        "raised central binomial C(4,2) should be even",
+    ]
 
 
 def test_cell_and_parity_rules_raise_under_O():

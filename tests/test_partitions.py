@@ -61,14 +61,6 @@ def test_encode_run_examples():
     )
 
 
-def test_encode_totals():
-    rec = orbit_record_of(neck(10, 1, 2, 3, 4))
-    p = encode(rec)
-    assert p.total == 10
-    assert p.unmarked_total == 4
-    assert p.marked_total == 6
-
-
 def test_encode_rejects_monochrome():
     with pytest.raises(ValueError):
         encode(orbit_record_of(neck(5)))

@@ -1,9 +1,9 @@
 """The package reads no environment knob, keeps no unbounded memo or
 visited-point set, lays out beads as mask bits and states its integer,
 cell, balance and parity rules in one module each, re-exports nothing,
-defines no top-level name in two modules, defines no name that nothing
-else names, has one start-up that every entry calls, and has no check
-that python -O strips or turns off."""
+defines no top-level name in two modules, defines no name that only tests
+name, raises no RuntimeError that no test names, has one start-up that
+every entry calls, and has no check that python -O strips or turns off."""
 
 import ast
 import re
@@ -168,25 +168,77 @@ def test_no_name_is_defined_in_two_modules():
         == ["f", "C", "X", "Y", "Z"]
 
 
-def test_every_defined_name_is_used():
-    # a function, class, method or property named only on its own def line
-    # is dead code; dunders are called by Python itself
-    files = [p for d in ("src", "tests", "demos", "bench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    lines = [(p, i, line) for p in files + [ROOT / "README.md"]
-             for i, line in enumerate(p.read_text().splitlines(), 1)]
+# paper lemmas that only tests check until verify checks them too
+TEST_ONLY_LEMMAS = ["half_central_hyperbolic", "odd_flip_fixed_closed_form"]
+
+
+def _dead_names(modules, readers):
+    """(module, line, name) of each function, class, method or property that
+    the modules define and no line of the modules or readers names apart
+    from its own def line; dunders are called by Python itself.  Both map a
+    file to its text."""
+    lines = [(f, i, line) for f, text in {**readers, **modules}.items()
+             for i, line in enumerate(text.splitlines(), 1)]
     dead = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("__") and node.name.endswith("__"):
+    for f, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("__") and node.name.endswith("__"):
                 continue
             word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(line) for p, i, line in lines
-                       if (p, i) != (path, node.lineno)):
-                dead.append(f"{path.name}:{node.lineno}: {node.name}")
-    assert dead == []
+            if not any(word.search(line) for g, i, line in lines if (g, i) != (f, node.lineno)):
+                dead.append((f, node.lineno, node.name))
+    return dead
+
+
+def test_every_defined_name_is_used():
+    # a name that no command, demo, benchmark op or README example reaches
+    # is dead code, even where a test calls it, so tests are no readers
+    readers = {p: p.read_text() for d in ("demos", "bench") for p in sorted((ROOT / d).rglob("*.py"))}
+    readers[ROOT / "README.md"] = (ROOT / "README.md").read_text()
+    modules = {p: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(name for _, _, name in _dead_names(modules, readers)) == TEST_ONLY_LEMMAS
+    assert _dead_names({"m.py": "def f():\n    g()\ndef g(): pass\nclass C:\n"
+                                "    def __len__(self): pass\n    def h(self): pass\n"},
+                       {"demo.py": "C().h()"}) == [("m.py", 1, "f")]
+
+
+WORD_RUN = re.compile(r"[A-Za-z]+(?: [A-Za-z]+)*")
+
+
+def _runtime_error_messages(tree):
+    """(line, the longest run of words in the literal parts of its message)
+    of each raise RuntimeError in tree; "" for a message with no words.  A
+    run holds no brackets, so a test may name it in a regex too."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        call = node.exc if isinstance(node.exc, ast.Call) else None
+        if ast.unparse(call.func if call else node.exc) != "RuntimeError":
+            continue
+        msg = call.args[0] if call and call.args else None
+        parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+        runs = [run for p in parts if isinstance(p, ast.Constant) and isinstance(p.value, str)
+                for run in WORD_RUN.findall(p.value)]
+        found.append((node.lineno, max(runs, key=len, default="")))
+    return sorted(found)
+
+
+def test_every_runtime_error_is_named_by_a_test():
+    # an invariant check that no test triggers is not known to fire; a test
+    # names one by the longest run of words in its message
+    tests = "\n".join(p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))
+                      if p.name != Path(__file__).name)
+    unnamed = [f"{path.name}:{line}: {part!r}"
+               for path in sorted(SRC.glob("*.py"))
+               for line, part in _runtime_error_messages(ast.parse(path.read_text()))
+               if not part or part not in tests]
+    assert unnamed == []
+    assert _runtime_error_messages(ast.parse(
+        'raise RuntimeError(f"{a} lost {b} of its beads")\nraise RuntimeError\n'
+        'raise ValueError("no")\nraise RuntimeError(f"cell ({n}, {j}) lost beads")\n')) \
+        == [(1, "of its beads"), (2, ""), (4, "lost beads")]
 
 
 def _main_blocks(tree):
