@@ -365,6 +365,8 @@ def test_twisted_oracle_over_budget_fails_before_enumerating(capsys, monkeypatch
     ("coeff", "--n", "20000", "--j", "10000"),
     ("coeff", "--twisted", "--j", "8000"),
     ("twisted", "--max-j", "8000"),
+    # a j past n / 2 is refused like its mirror n - j
+    ("coeff", "--n", "20000", "--j", "12000"),
     # C(n, k) >= 2^k refuses this one without computing the binomial
     ("coeff", "--n", "100000000", "--j", "50000000"),
 ])
