@@ -1,8 +1,8 @@
 """Exact number-theoretic helpers.
 
 Big-integer and rational arithmetic: binomials that vanish at fractional
-arguments, Moebius, p-adic valuations and digits, Lucas residues, Kummer
-valuations, binary digit dominance.  Nothing may round, as parities and
+arguments, Moebius, p-adic digits, Lucas residues, Kummer valuations,
+binary digit dominance.  Nothing may round, as parities and
 2-adic valuations carry everything downstream.  The package's argument
 rules live here alone: a size or count is an int, not a bool (`_require_int`),
 at least 1 where it must be (`_require_positive`); a cell has 0 <= j <= n
@@ -76,12 +76,14 @@ def big_binomial(a: int | Fraction, b: int | Fraction) -> int:
 
 
 def _smallest_factor(m: int) -> int:
-    """Least prime factor of m >= 2, by trial division."""
-    d = 2
+    """Least prime factor of m >= 2, by trial division by 2 and then by odd d."""
+    if m % 2 == 0:
+        return 2
+    d = 3
     while d * d <= m:
         if m % d == 0:
             return d
-        d += 1
+        d += 2
     return m
 
 
@@ -106,17 +108,6 @@ def _require_prime(p: int) -> None:
     d = _smallest_factor(p)
     if d != p:
         raise ValueError(f"prime required, got {p} = {d} * {p // d}")
-
-
-def valuation(p: int, x: int) -> int:
-    """Largest e with p^e dividing x; defined only for x >= 1."""
-    _require_prime(p)
-    _require_positive(x, "x")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 def _digits(p: int, x: int) -> list[int]:

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed-form vs oracle sweep")
     p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--twisted-max-j", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    p.add_argument("--jobs", type=int, default=1, help="at least 1; the sweep runs serially")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

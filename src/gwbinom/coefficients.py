@@ -24,9 +24,7 @@ correction.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import groupby
 from math import comb
@@ -195,8 +193,9 @@ def _binomial_route(n: int, j: int, even: int) -> GWElem:
 
 
 # Each family's routes in display order.  A route maps (n, j, even), with
-# even the work item's even-orbit count, to the cell's class, and looks its
-# function up by name when called, so a patched module attribute takes effect.
+# even the cell's even-orbit count from the row walk, to the cell's class, and
+# looks its function up by name when called, so a patched module attribute
+# takes effect.
 _ORACLE_ROUTE = ("oracle", lambda n, j, even: _corrected(comb(n, j), even))
 ROUTES = {
     False: (
@@ -217,12 +216,12 @@ class CellCheck:
     cell's even-orbit count, and correction_parity the closed form's
     correction parity for the cell's family.
 
-    seconds is the wall time of the cell's own checks plus its share of its
-    work item's counts: the untwisted cells with n <= max_n share one walk,
-    each taking C(n, j) / (2^(max_n + 1) - 1) of it; a twisted cell folded
-    into that walk takes O(j), its odd-twisted-length necklaces, and no share
-    of the walk; any other twisted cell takes its whole count.  So a work
-    item's cells add up to its counts plus their checks."""
+    seconds is the wall time of the cell's own checks plus its share of the
+    counts: the untwisted cells with n <= max_n share the whole walk, each
+    taking C(n, j) / (2^(max_n + 1) - 1) of it, also where the walk runs
+    past max_n for the twisted cells; a twisted cell takes only O(j), its
+    odd-twisted-length necklaces.  So the cells add up to the walk plus the
+    O(j) counts and their checks."""
 
     n: int
     j: int
@@ -247,28 +246,25 @@ _JSON_FIELDS = tuple(f.name for f in fields(CellCheck)
                      if f.name not in ("routes", "even_orbits", "correction_parity"))
 
 
-def _check_item(item: tuple[int, range]) -> list[CellCheck]:
-    """Check the cells of one work item (max_n, js): with max_n >= 1 every
-    untwisted cell with n <= max_n, from one row walk, even_orbit_counts;
-    then the twisted cells j of js.  One with 2j <= max_n is folded into the
-    walk, whose rows[2j][j] counts its necklaces (a balanced word has even
-    period), less O(j), those of odd twisted length; any other takes its own
-    count.  CellCheck says how the counts' time is shared out."""
-    from .necklaces import _odd_twisted_count, count_even_twisted_orbits, even_orbit_counts
+def _check_item(max_n: int, twisted_max_j: int) -> list[CellCheck]:
+    """Check every untwisted cell with n <= max_n and every twisted cell with
+    j <= twisted_max_j from one row walk, even_orbit_counts, to
+    max(max_n, 2 * twisted_max_j) beads.  The walk's rows[2j][j] counts the
+    (2j, j) necklaces (a balanced word has even period), so each twisted cell
+    takes that less O(j), those of odd twisted length, _odd_twisted_count,
+    and no count of its own.  CellCheck says how the walk's time is shared
+    out."""
+    from .necklaces import _odd_twisted_count, even_orbit_counts
 
-    max_n, js = item
-    checks = []
-    if max_n:
+    start = time.perf_counter()
+    rows = even_orbit_counts(max(max_n, 2 * twisted_max_j))
+    walk_s = time.perf_counter() - start
+    total = 2 ** (max_n + 1) - 1  # the masks of the rows n <= max_n, sum of C(n, j)
+    checks = [_cell_check(False, n, j, e, walk_s * comb(n, j) / total)
+              for n, row in enumerate(rows[:max_n + 1]) for j, e in enumerate(row)]
+    for j in range(1, twisted_max_j + 1):
         start = time.perf_counter()
-        rows = even_orbit_counts(max_n)
-        walk_s = time.perf_counter() - start
-        total = 2 ** (max_n + 1) - 1  # the masks of all the rows, sum of C(n, j)
-        checks = [_cell_check(False, n, j, e, walk_s * comb(n, j) / total)
-                  for n, row in enumerate(rows) for j, e in enumerate(row)]
-    for j in js:
-        start = time.perf_counter()
-        even = (rows[2 * j][j] - _odd_twisted_count(j) if 2 * j <= max_n
-                else count_even_twisted_orbits(j))
+        even = rows[2 * j][j] - _odd_twisted_count(j)
         checks.append(_cell_check(True, 2 * j, j, even, time.perf_counter() - start))
     return checks
 
@@ -358,13 +354,10 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     """Check every route of `ROUTES` on every untwisted cell with n <= max_n
     and every twisted cell with j <= twisted_max_j.  The largest cell of
     each family is checked against the enumeration budget before any cell
-    runs.  The work items are (max_n, range(1, f + 1)), one walk over the
-    max_n-bead prenecklaces that feeds every untwisted cell and the twisted
-    cells j <= f = min(twisted_max_j, max_n // 2), and (0, range(j, j + 1))
-    for each other twisted cell, one count each.  One map runs them across
-    min(jobs, CPU count, item count) processes (none when that is 1, as when
-    2 * twisted_max_j <= max_n), and the report keeps the cell order:
-    untwisted by (n, j), then twisted by j."""
+    runs.  One walk over the prenecklaces of max(max_n, 2 * twisted_max_j)
+    beads, _check_item, feeds every cell, serially: jobs is checked and
+    starts no process.  The report keeps the cell order: untwisted by
+    (n, j), then twisted by j."""
     import fractions  # the binomial route's, loaded before any cell's clock starts
     from .necklaces import check_enumeration
 
@@ -375,17 +368,5 @@ def verify(max_n: int, twisted_max_j: int, jobs: int = 1) -> VerifyReport:
     if twisted_max_j:
         check_enumeration(2 * twisted_max_j, twisted_max_j)
     start = time.perf_counter()
-    folded = min(twisted_max_j, max_n // 2)
-    items = [(max_n, range(1, folded + 1))]
-    items += [(0, range(j, j + 1)) for j in range(folded + 1, twisted_max_j + 1)]
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    pool = nullcontext()
-    if workers > 1:
-        # imported only here: the pool's modules add about 20 ms to a fresh interpreter
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool as executor:
-        run = map if executor is None else executor.map
-        results = [cell for cells in run(_check_item, items) for cell in cells]
-    return VerifyReport(max_n, twisted_max_j, tuple(results), time.perf_counter() - start)
+    cells = _check_item(max_n, twisted_max_j)
+    return VerifyReport(max_n, twisted_max_j, tuple(cells), time.perf_counter() - start)

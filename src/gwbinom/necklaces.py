@@ -33,7 +33,11 @@ orbit of the cell once, as its least mask and period, in ascending mask
 order.  even_orbit_counts counts the even-period orbits of every cell of
 every row up to n from one tally of the Lyndon words of length at most
 n by popcount, _lyndon_counts, since each necklace is a power of one
-Lyndon word.  The single-cell counts tally the gap walk's periods once,
+Lyndon word.  That tally steps through the prenecklaces of the first
+n - n // 4 bits only: below each one the steps of the last n // 4 bits
+depend on just its first n // 4 - 1 bits and its last n // 4, so each
+such (F, S) sub-walk is replayed once and counted for every prefix that
+shares it.  The single-cell counts tally the gap walk's periods once,
 _periods, which checks that the orbits' sizes add up to C(n, j).  The
 twisted orbits are walked by the one orbit walk, _cycle, from the
 necklaces' least masks and their one-bead rotations, since two twisted
@@ -46,12 +50,13 @@ Enumerations are bounded by the C(n, j) masks of a cell: check_enumeration,
 every enumerator's one gate, refuses a non-cell, n beyond WORD_BITS = 63 beads
 (the mirror listing's memory grows as n^2 even where C(n, j) is small) and any
 cell with more than MAX_MASKS masks before any work starts, and a walk to n
-must fit row n's largest cell, (n, n // 2).  Nothing is memoised.
+must fit row n's largest cell, (n, n // 2).  Nothing is memoised across
+calls; the row walk's (F, S) replays live for one call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb, gcd
@@ -66,9 +71,10 @@ from .arith import (_require_balanced, _require_cell, _require_even, _require_in
 WORD_BITS = 63
 # The largest cell the former 24-bead cap admitted: C(24, 12) = 2,704,156 masks.
 # Over 3 fresh processes each (Python 3.11.7, 2-vCPU Intel Xeon KVM guest, peak
-# process RSS): enumerate_orbits(24, 12) 0.38-0.39 s in 32 MB; in 15 MB each,
-# count_even_twisted_orbits(12) 0.09-0.11 s and even_orbit_counts(24), the tally
-# over the 1,465,020 prenecklaces that counts every row up to 24, 0.31-0.40 s.
+# process RSS): enumerate_orbits(24, 12) 0.36-0.48 s in 32 MB;
+# count_even_twisted_orbits(12) 0.09-0.13 s in 15 MB; even_orbit_counts(24), the
+# tally of the 1,465,020 prenecklaces that counts every row up to 24, 0.03-0.04 s
+# in 16 MB, as it steps through the 18-bit ones and replays 460 (F, S) sub-walks.
 MAX_MASKS = comb(24, 12)
 
 TYPE1 = 1  # axis missing every bead
@@ -332,25 +338,55 @@ def axis_distance(rec: OrbitRecord, a: AxisIndex, b: AxisIndex) -> Fraction:
 
 def _lyndon_counts(n: int) -> list[list[int]]:
     """counts[p][i], the number of Lyndon words of length p with i ones, for
-    every p = 0..n, from one loop with no call per word.  Read MSB first,
-    each n-bit prenecklace is the first n bits of w w w ... for the Lyndon
-    word w of its first p bits, one prenecklace per w of length p <= n; the
-    FKM recursion of _necklaces, run over bits, steps between them by its
+    every p = 0..n, with no call per word.  Read MSB first, each n-bit
+    prenecklace is the first n bits of w w w ... for the Lyndon word w of
+    its first p bits, one prenecklace per w of length p <= n; the FKM
+    recursion of _necklaces, run over bits, steps between them by its
     successor rule (Ruskey, Savage and Wang, J. Algorithms 13, 1992): drop
     the trailing ones and add one, which gives the next Lyndon word, and
-    repeat that word to n bits."""
+    repeat that word to n bits.
+
+    With k = n // 4, the rule walks only the (n - k)-bit prenecklaces u,
+    tallying each one's w.  The n-bit prenecklaces that start with u are
+    u's own n-bit word and the steps after it until the top n - k bits
+    change, that is until the last k bits are all ones.  Each such step
+    adds one at a position L > n - k and copies bits 1 .. n - L, all among
+    the first k - 1, below it.  So the steps' Lyndon lengths L and the ones
+    they add past bit n - k depend only on F, the first k - 1 bits of u's
+    n-bit word, and S, its last k bits: the rule is replayed once per
+    distinct (F, S) and its list counted once for each u with that F, S and
+    popcount.  At n = 22 the walk meets 16,510 u and replays 136 (F, S)."""
+    k = n // 4
+    top = n - k
+    low = (1 << k) - 1
     # w repeated ceil(n / p) times, cut to its top n bits
     reps = [0] + [((1 << p * -(-n // p)) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
     cuts = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
     counts = [[0] * (p + 1) for p in range(n + 1)]
+    prefixes = defaultdict(int)  # (F, S, ones(u)): how many u
     w, p = 0, 1
     while True:
         counts[p][w.bit_count()] += 1
         m = w * reps[p] >> cuts[p]
-        tail = (m ^ (m + 1)).bit_length() - 1  # trailing ones
-        if tail == n:
-            return counts
-        w, p = (m >> tail) + 1, n - tail
+        u = m >> k
+        prefixes[m >> top + 1, m & low, u.bit_count()] += 1
+        tail = (u ^ (u + 1)).bit_length() - 1  # trailing ones
+        if tail == top:
+            break
+        w, p = (u >> tail) + 1, top - tail
+    replays = {}  # (F, S): (L, ones added) of each step until S is all ones
+    for (f, s, ones), count in prefixes.items():
+        replay = replays.get((f, s))
+        if replay is None:
+            replay = replays[f, s] = []
+            while s != low:
+                tail = (s ^ (s + 1)).bit_length() - 1
+                # set bit L = n - tail, then copy F's first tail bits below it
+                s = (s >> tail | 1) << tail | f >> k - 1 - tail
+                replay.append((n - tail, (s >> tail).bit_count()))
+        for length, added in replay:
+            counts[length][ones + added] += count
+    return counts
 
 
 def _necklaces(n: int, j: int):

@@ -19,3 +19,13 @@ def script_entry() -> str:
     except ImportError:
         return re.search(r'^gwbinom\s*=\s*"([^"]*)"', text, re.M).group(1)
     return tomllib.loads(text)["project"]["scripts"]["gwbinom"]
+
+
+def valuation(p: int, x: int) -> int:
+    """The largest e with p^e dividing x >= 1, by repeated division: the
+    reference that tests compare kummer_valuation against."""
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e

@@ -4,7 +4,9 @@ its runtime (visible under ``pytest -v -s`` or in the captured output)."""
 import time
 from math import comb
 
-from gwbinom.arith import kummer_valuation, lucas_binom_mod_p, valuation
+from conftest import valuation
+
+from gwbinom.arith import kummer_valuation, lucas_binom_mod_p
 from gwbinom.cli import main
 from gwbinom.coefficients import twisted_closed, twisted_oracle, untwisted_closed, untwisted_oracle
 from gwbinom.necklaces import (

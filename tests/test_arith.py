@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import valuation
+
 from gwbinom.arith import (
     _digits,
+    _smallest_factor,
     big_binomial,
     digit_dominates,
     digit_sum,
     kummer_valuation,
     lucas_binom_mod_p,
     mobius,
-    valuation,
 )
 from gwbinom.coefficients import (
     EnrichedCoefficient,
@@ -130,9 +132,9 @@ def test_mobius_rejects_nonpositive():
     (lucas_binom_mod_p, (2, 7.0, 3)),
     (lucas_binom_mod_p, (3, 7, True)),
     (lucas_binom_mod_p, (2, Fraction(7), 3)),
-    (valuation, (2.0, 8)),
-    (valuation, (2, 8.0)),
-    (valuation, (2, True)),
+    (kummer_valuation, (2.0, 8, 4)),
+    (kummer_valuation, (2, 8, Fraction(4))),
+    (kummer_valuation, (True, 8, 4)),
     (_digits, (2, "5")),
     (mobius, (6.0,)),
     (mobius, (True,)),
@@ -180,7 +182,7 @@ def test_non_int_arguments_raise_type_error(fn, args):
     (twisted_orbit_record_of, (Necklace(4, 1),), "need n = 2j, got n=4, j=1"),
     (EnrichedCoefficient, (4, 1, True, gw_from_coeffs(4, 0), "closed"), "need n = 2j, got n=4, j=1"),
     (mobius, (0,), "positive m required, got 0"),
-    (valuation, (2, 0), "positive x required, got 0"),
+    (kummer_valuation, (2, 3, 4), "need 0 <= m <= n, got m=4, n=3"),
     (lucas_binom_mod_p, (3, -1, 0), "non-negative integer required, got -1"),
     (lucas_binom_mod_p, (3, 0, -1), "non-negative integer required, got -1"),
     # two positions in would be one blue out
@@ -203,7 +205,7 @@ def test_argument_rules_raise_value_error(fn, args, message):
     (EnrichedCoefficient, (4, 1, False, gw_from_coeffs(4, 0), "guess"), ValueError,
      "method must be 'closed' or 'oracle', got 'guess'"),
     (big_binomial, (True, 1), TypeError, "bool is not a valid arithmetic argument"),
-    (valuation, (1, 4), ValueError, "prime required, got 1"),
+    (kummer_valuation, (1, 4, 2), ValueError, "prime required, got 1"),
 ], ids=lambda v: v.__name__ if callable(v) else v if isinstance(v, str) else None)
 def test_range_and_type_checks_raise(fn, args, error, message):
     # the bounds of a necklace, a position, a strip, a provenance tag, a
@@ -213,13 +215,27 @@ def test_range_and_type_checks_raise(fn, args, error, message):
 
 
 def test_valuation():
-    assert valuation(2, 70) == 1
-    assert valuation(2, 1) == 0
-    assert valuation(3, 27) == 3
+    # kummer_valuation against the valuation of the binomial, computed here
+    assert kummer_valuation(2, 8, 4) == valuation(2, 70) == 1
+    assert kummer_valuation(2, 1, 0) == valuation(2, 1) == 0
+    assert kummer_valuation(3, 27, 1) == valuation(3, 27) == 3
     with pytest.raises(ValueError):
-        valuation(2, 0)
-    with pytest.raises(ValueError):
-        valuation(4, 8)
+        kummer_valuation(4, 8, 1)
+
+
+def test_smallest_factor_matches_a_sieve():
+    # trial division by 2 and odd d against a least-prime-factor sieve, on
+    # every m <= 50,000 and on the largest prime that --q admits
+    limit = 100_000
+    least = list(range(limit + 1))
+    for d in range(2, 317):
+        if least[d] == d:
+            for m in range(d * d, limit + 1, d):
+                least[m] = min(least[m], d)
+    for m in range(2, 50_001):
+        assert _smallest_factor(m) == least[m], m
+    q = 9999999967
+    assert _smallest_factor(q) == next((d for d in range(2, limit) if least[d] == d and q % d == 0), q)
 
 
 def test_p_adic_digits_roundtrip():

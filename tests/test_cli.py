@@ -409,7 +409,7 @@ def test_verify_trivial(capsys):
 
 
 def test_verify_parallel_jobs(capsys):
-    # twisted j = 4 is past the walk to 6 beads: two work items, two workers
+    # twisted j = 4 is past max_n = 6: the one walk runs to 8 beads, serially
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--twisted-max-j", "4", "--jobs", "2")
     assert code == 0
     assert "VERIFY PASS" in out
@@ -554,7 +554,7 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # only verify --jobs above 1 needs the pool; its imports cost every run
+    # no command starts a process pool; its imports would cost every run
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     code = "import sys, gwbinom.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -99,7 +99,7 @@ def test_half_central_hyperbolic_identity():
     # (C(2j,j)/2)(1+u) = C(2j,j) + (u-1)[v2(C(2j,j)) = 1] for every j, and
     # it matches the twisted closed form for j >= 2; j = 1 is the lone
     # exception, where the enumeration gives the untwisted-looking value 2
-    from gwbinom.arith import valuation
+    from conftest import valuation
 
     for j in range(1, 65):
         c = comb(2 * j, j)
@@ -335,37 +335,6 @@ def test_verify_over_budget_fails_before_enumerating(monkeypatch):
             verify(max_n, max_j)
 
 
-def test_verify_clamps_pool_to_cpu_count(monkeypatch):
-    import concurrent.futures
-
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert verify(3, 2, jobs=64).ok
-    assert asked and all(w <= (os.cpu_count() or 1) for w in asked)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    asked.clear()
-    verify(3, 4, jobs=64)  # four work items: the walk with twisted j = 1, then j = 2..4
-    verify(3, 2, jobs=64)  # two work items
-    verify(1, 0, jobs=64)  # one work item, run with no pool
-    verify(8, 4, jobs=64)  # every twisted cell folded into the walk: one item
-    verify(3, 2, jobs=1)
-    assert asked == [4, 2]
-
-
 def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
     import time
 
@@ -385,17 +354,16 @@ def test_row_walk_time_is_shared_across_its_cells(monkeypatch):
     monkeypatch.setattr(necklaces, "even_orbit_counts", slow_walk)
     monkeypatch.setattr(necklaces, "count_even_twisted_orbits", slow_count)
     cells = verify(4, 3).cells
-    # one walk feeds the 2^5 - 1 masks of the untwisted cells with n <= 4
+    # one walk, to 6 beads for twisted j = 3, feeds the 2^5 - 1 masks of the
+    # untwisted cells with n <= 4
     untwisted = [c for c in cells if not c.twisted]
     assert len(untwisted) == 15
     assert sum(c.seconds for c in untwisted) >= 0.04
     assert all(c.seconds >= 0.04 * comb(c.n, c.j) / 31 for c in untwisted)
-    # twisted j = 1, 2 are folded into the walk and take none of it; j = 3
-    # is a work item of its own and takes its whole count
+    # twisted j = 1, 2, 3 are all folded into the walk and take none of it
     twisted = [c for c in cells if c.twisted]
     assert [c.j for c in twisted] == [1, 2, 3]
-    assert all(c.seconds < 0.04 for c in twisted[:2])
-    assert twisted[2].seconds >= 0.04
+    assert all(c.seconds < 0.04 for c in twisted)
 
 
 def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
@@ -418,9 +386,10 @@ def test_verify_walks_once_for_every_untwisted_row(monkeypatch):
     # one row walk to max_n feeds the twisted cells with 2j <= max_n too
     assert calls == [("rows", 8)]
     calls.clear()
-    # a twisted cell past the walk takes one gap walk of its own
+    # a twisted cell past max_n stretches the one walk to 2j beads, with no
+    # gap walk of its own
     assert verify(6, 4).ok
-    assert calls == [("rows", 6), (8, 4)]
+    assert calls == [("rows", 8)]
 
 
 FIRST_CELL = """
@@ -449,7 +418,7 @@ def test_no_cell_clock_holds_the_fractions_import():
 
 
 def test_verify_parallel_matches_serial():
-    # twisted j = 4 is past the walk to 6 beads, so there are two work items
+    # twisted j = 4 is past max_n = 6, so the one walk runs to 8 beads
     serial = verify(6, 4)
     parallel = verify(6, 4, jobs=2)
     strip = lambda cells: [(c.n, c.j, c.twisted, c.closed, c.oracle, c.ok) for c in cells]

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gwbinom.arith import valuation
+from conftest import valuation
+
 from gwbinom.necklaces import (
     BLUE,
     RED,
@@ -297,10 +298,33 @@ def test_unpruned_walk_meets_each_lyndon_word_once():
 
 
 def test_lyndon_tally_matches_moreaus_formula():
-    # the successor walk against Moebius inversion, at every length to 20
-    counts = _lyndon_counts(20)
-    for p in range(1, 21):
+    # the successor walk against Moebius inversion, at every length to 26
+    counts = _lyndon_counts(26)
+    for p in range(1, 27):
         assert counts[p] == [aperiodic_count(p, i) for i in range(p + 1)], p
+
+
+def _successor_walk(n):
+    """The Lyndon tally from the successor rule run over every n-bit
+    prenecklace in turn, with no replay: the reference for _lyndon_counts."""
+    reps = [0] + [((1 << p * -(-n // p)) - 1) // ((1 << p) - 1) for p in range(1, n + 1)]
+    cuts = [0] + [p * -(-n // p) - n for p in range(1, n + 1)]
+    counts = [[0] * (p + 1) for p in range(n + 1)]
+    w, p = 0, 1
+    while True:
+        counts[p][w.bit_count()] += 1
+        m = w * reps[p] >> cuts[p]
+        tail = (m ^ (m + 1)).bit_length() - 1
+        if tail == n:
+            return counts
+        w, p = (m >> tail) + 1, n - tail
+
+
+def test_replayed_walk_matches_the_step_by_step_walk():
+    # the replay of each (F, S) sub-walk, counted once per prefix, tallies
+    # what stepping through every prenecklace does
+    for n in range(1, 23):
+        assert _lyndon_counts(n) == _successor_walk(n), n
 
 
 def test_row_walk_makes_no_call_per_prenecklace():

@@ -132,6 +132,23 @@ except RuntimeError as exc:
     print("raised", exc)
 """
 
+DROPPED_BALANCED_WORD = """
+import gwbinom.coefficients as coefficients
+import gwbinom.necklaces as necklaces
+lyndon = necklaces._lyndon_counts
+
+def dropped(n):
+    counts = lyndon(n)
+    counts[12][6] -= 1  # one balanced Lyndon word of length 12
+    return counts
+
+necklaces._lyndon_counts = dropped
+try:
+    coefficients.verify(4, 6)
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
 BROKEN_COLLABORATORS = """
 import gwbinom.coefficients as coefficients
 import gwbinom.necklaces as necklaces
@@ -228,6 +245,14 @@ def test_row_walk_rank_raises_under_O():
     proc = run_optimized("-c", DROPPED_LYNDON_WORD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised Lyndon words add up to 0 masks, not C(3, 1)")
+
+
+def test_twisted_cell_past_max_n_checks_the_walk_rank_under_O():
+    # twisted j = 6 stretches verify's one walk to 12 beads, so a word
+    # missing from row 12 breaks the rank check there
+    proc = run_optimized("-c", DROPPED_BALANCED_WORD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised Lyndon words add up to 912 masks, not C(12, 6)\n"
 
 
 def test_wrong_binomial_route_fails_verify_under_O():

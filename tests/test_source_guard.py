@@ -172,21 +172,35 @@ def test_no_name_is_defined_in_two_modules():
 TEST_ONLY_LEMMAS = ["half_central_hyperbolic", "odd_flip_fixed_closed_form"]
 
 
+def _named(path, text) -> set[str]:
+    """The names a file uses: in Python, each identifier its AST reads (a
+    name, an attribute or an imported name), so a docstring or comment names
+    nothing; in any other file, such as README, each word."""
+    if not str(path).endswith(".py"):
+        return set(re.findall(r"\w+", text))
+    named = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+    return named
+
+
 def _dead_names(modules, readers):
     """(module, line, name) of each function, class, method or property that
-    the modules define and no line of the modules or readers names apart
-    from its own def line; dunders are called by Python itself.  Both map a
-    file to its text."""
-    lines = [(f, i, line) for f, text in {**readers, **modules}.items()
-             for i, line in enumerate(text.splitlines(), 1)]
+    the modules define and neither they nor the readers name, by _named;
+    dunders are called by Python itself.  Both map a file to its text."""
+    named = set().union(*(_named(f, text) for f, text in {**readers, **modules}.items()))
     dead = []
     for f, text in modules.items():
         for node in ast.walk(ast.parse(text)):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(line) for g, i, line in lines if (g, i) != (f, node.lineno)):
+            if node.name not in named:
                 dead.append((f, node.lineno, node.name))
     return dead
 
@@ -201,6 +215,10 @@ def test_every_defined_name_is_used():
     assert _dead_names({"m.py": "def f():\n    g()\ndef g(): pass\nclass C:\n"
                                 "    def __len__(self): pass\n    def h(self): pass\n"},
                        {"demo.py": "C().h()"}) == [("m.py", 1, "f")]
+    # a docstring or comment calls nothing; a README word still counts
+    doc = {"m.py": 'def f():\n    """f, as g calls it."""  # g()\ndef g(): pass\n'}
+    assert _dead_names(doc, {"demo.py": "# f()"}) == [("m.py", 1, "f"), ("m.py", 3, "g")]
+    assert _dead_names(doc, {"README.md": "f and g"}) == []
 
 
 WORD_RUN = re.compile(r"[A-Za-z]+(?: [A-Za-z]+)*")
